@@ -53,48 +53,36 @@ class FnuTermBreakdown:
         return abs(self.total) < CANCELLATION_RATIO * self.max_term
 
 
-def _validate(params: KernelParams, s: complex) -> complex:
+def _checked(params: KernelParams, svals, xs):
+    """The closed form's domain: solver order, the strip -1 < Re s < 0, the
+    |s| >= 0.05 guard around the s = 0 pole of Gamma(-s/2), and x > a.
+    Returns svals and xs as 1-d complex and real arrays."""
     params.require_solver_order()
-    s = complex(s)
-    if not (-1.0 < s.real < 0.0):
-        raise StripError(f"F_nu_closed: Re s = {s.real} outside (-1, 0)")
-    if abs(s) < _POLE_RADIUS:
-        raise PoleProximityError(
-            f"F_nu_closed: |s| = {abs(s):.3g} too close to the s = 0 pole")
-    return s
-
-
-def _terms_batch(params: KernelParams, xs: np.ndarray, s: complex):
-    nu, a = params.nu, params.a
-    z = (a / xs) ** 2
-    h13 = specfun.hyp2f1_real_z(1 - s / 2, 1 + nu - s / 2, 2 + nu, z)
-    h2 = specfun.hyp2f1_real_z(-nu - s / 2, -s / 2, -nu, z)
-    two_ms = cmath.exp(-s * math.log(2.0))
-    ln_x = np.log(xs)
-    g1 = (two_ms * a ** (nu + 1.0) / math.pi * specfun._cospi(nu)
-          * specfun.rgamma(s / 2) * specfun.gamma(-nu - 1.0)
-          * specfun.gamma(1 + nu - s / 2))
-    g2 = -(two_ms / (math.pi * a ** (1.0 + nu)) * specfun.gamma(nu + 1.0)
-           * specfun.gamma(-s / 2) * specfun.rgamma(1 + nu + s / 2))
-    g3 = -(two_ms * a ** (nu + 1.0) / math.pi * cmath.cos(math.pi * s / 2)
-           * specfun.gamma(nu + 1 - s / 2) * specfun.gamma(1 - s / 2)
-           * specfun.rgamma(2.0 + nu))
-    # terms 1 and 3 share one power of x: exponent s - nu - 2
-    p13 = np.exp((s - nu - 2.0) * ln_x)
-    t1 = g1 * p13 * h13
-    t2 = g2 * np.exp((nu + s) * ln_x) * h2
-    t3 = g3 * p13 * h13
-    return t1, t2, t3, h13, h2
-
-
-def F_nu_closed_batch(params: KernelParams, xs, s) -> np.ndarray:
-    """Vectorized closed form over an array of abscissas x > a (totals only)."""
-    s = _validate(params, s)
+    svals = np.atleast_1d(np.asarray(svals, dtype=np.complex128))
+    if not (-1.0 < svals.real.min() and svals.real.max() < 0.0):
+        raise StripError("closed form: Re s outside the strip (-1, 0)")
+    if float(np.min(np.abs(svals))) < _POLE_RADIUS:
+        raise PoleProximityError("closed form: s too close to the s = 0 pole")
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     if np.any(xs <= params.a):
-        raise DomainError("F_nu_closed: requires x > a")
-    t1, t2, t3, _, _ = _terms_batch(params, xs, s)
-    return t1 + t2 + t3
+        raise DomainError("closed form: requires x > a")
+    return svals, xs
+
+
+# 2F1 parameters (a, b, c) of the closed form's factors: 1 serves terms 1
+# and 3, 2 serves term 2, 3 is 1 with the upper parameters swapped
+_HYP_PARAM_TRIPLES = {
+    1: lambda nu, s: (1 - s / 2, 1 + nu - s / 2, 2 + nu),
+    2: lambda nu, s: (-nu - s / 2, -s / 2, -nu),
+    3: lambda nu, s: (1 + nu - s / 2, 1 - s / 2, 2 + nu),
+}
+
+
+def _hyp_rows(nu: float, svals: np.ndarray):
+    """Parameter rows of factors 1 and 2 for hyp2f1_matrix, c repeated."""
+    return [(a_, b_, np.full_like(svals, c_))
+            for a_, b_, c_ in (_HYP_PARAM_TRIPLES[1](nu, svals),
+                               _HYP_PARAM_TRIPLES[2](nu, svals))]
 
 
 def _prefactors_matrix(params: KernelParams, svals: np.ndarray):
@@ -120,22 +108,12 @@ def fnu_matrix(params: KernelParams, svals, xs) -> np.ndarray:
     Returns the (m, n) matrix F(x_j, s_i) - the contour solver evaluates
     whole quadrature batches through this in a handful of numpy passes.
     """
-    svals = np.atleast_1d(np.asarray(svals, dtype=np.complex128))
-    for sv in (svals.real.min(), svals.real.max()):
-        if not (-1.0 < sv < 0.0):
-            raise StripError("fnu_matrix: contour leaves the strip (-1, 0)")
-    if float(np.min(np.abs(svals))) < _POLE_RADIUS:
-        raise PoleProximityError("fnu_matrix: contour passes the s = 0 pole")
-    params.require_solver_order()
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    if np.any(xs <= params.a):
-        raise DomainError("fnu_matrix: requires x > a")
+    svals, xs = _checked(params, svals, xs)
     nu, a = params.nu, params.a
     z = (a / xs) ** 2
-    h13 = specfun.hyp2f1_matrix(1 - svals / 2, 1 + nu - svals / 2,
-                                np.full_like(svals, 2 + nu), z)
-    h2 = specfun.hyp2f1_matrix(-nu - svals / 2, -svals / 2,
-                               np.full_like(svals, -nu + 0.0j), z)
+    rows13, rows2 = _hyp_rows(nu, svals)
+    h13 = specfun.hyp2f1_matrix(*rows13, z)
+    h2 = specfun.hyp2f1_matrix(*rows2, z)
     g1, g2, g3 = _prefactors_matrix(params, svals)
     ln_x = np.log(xs)
     p13 = np.exp(np.outer(svals - nu - 2.0, ln_x))
@@ -144,24 +122,14 @@ def fnu_matrix(params: KernelParams, svals, xs) -> np.ndarray:
 
 
 def fnu_dx_matrix(params: KernelParams, svals, xs) -> np.ndarray:
-    """x-derivative of the closed form on the same outer-product layout."""
-    svals = np.atleast_1d(np.asarray(svals, dtype=np.complex128))
-    for sv in (svals.real.min(), svals.real.max()):
-        if not (-1.0 < sv < 0.0):
-            raise StripError("fnu_dx_matrix: contour leaves the strip (-1, 0)")
-    if float(np.min(np.abs(svals))) < _POLE_RADIUS:
-        raise PoleProximityError("fnu_dx_matrix: contour passes the s = 0 pole")
-    params.require_solver_order()
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    if np.any(xs <= params.a):
-        raise DomainError("fnu_dx_matrix: requires x > a")
+    """x-derivative of the closed form on the same outer-product layout.
+    Differentiates the powers and the 2F1 arguments; two extra 2F1 calls at
+    shifted parameters."""
+    svals, xs = _checked(params, svals, xs)
     nu, a = params.nu, params.a
     z = (a / xs) ** 2
     dz_dx = -2.0 * z / xs
-    a13, b13 = 1 - svals / 2, 1 + nu - svals / 2
-    c13 = np.full_like(svals, 2 + nu)
-    a2, b2 = -nu - svals / 2, -svals / 2
-    c2 = np.full_like(svals, -nu + 0.0j)
+    (a13, b13, c13), (a2, b2, c2) = _hyp_rows(nu, svals)
     h13 = specfun.hyp2f1_matrix(a13, b13, c13, z)
     h13p = (a13 * b13 / c13)[:, None] * specfun.hyp2f1_matrix(
         a13 + 1, b13 + 1, c13 + 1, z)
@@ -178,52 +146,27 @@ def fnu_dx_matrix(params: KernelParams, svals, xs) -> np.ndarray:
     return (g1 + g3)[:, None] * d13 + g2[:, None] * d2
 
 
+def F_nu_closed_batch(params: KernelParams, xs, s) -> np.ndarray:
+    """Vectorized closed form over an array of abscissas x > a (totals only)."""
+    return fnu_matrix(params, [s], xs)[0]
+
+
 def F_nu_closed(params: KernelParams, x: float, s) -> FnuTermBreakdown:
-    """Closed form at a single abscissa, with the three-term breakdown."""
-    s = _validate(params, s)
-    x = float(x)
-    if x <= params.a:
-        raise DomainError("F_nu_closed: requires x > a")
-    t1, t2, t3, _, _ = _terms_batch(params, np.array([x]), s)
-    return FnuTermBreakdown(complex(t1[0]), complex(t2[0]), complex(t3[0]))
+    """Closed form at a single abscissa, with the three-term breakdown.
 
-
-def F_nu_closed_dx_batch(params: KernelParams, xs, s) -> np.ndarray:
-    """d/dx of the closed form, vectorized over x (for the derivative-form
-    inverse).  Differentiates the powers and the 2F1 arguments; two extra
-    2F1 calls at shifted parameters."""
-    s = _validate(params, s)
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    if np.any(xs <= params.a):
-        raise DomainError("F_nu_closed_dx: requires x > a")
-    nu, a = params.nu, params.a
-    z = (a / xs) ** 2
-    dz_dx = -2.0 * z / xs
-
-    a13, b13, c13 = 1 - s / 2, 1 + nu - s / 2, 2 + nu
-    a2, b2, c2 = -nu - s / 2, -s / 2, -nu
-    h13 = specfun.hyp2f1_real_z(a13, b13, c13, z)
-    h13p = (a13 * b13 / c13) * specfun.hyp2f1_real_z(a13 + 1, b13 + 1, c13 + 1, z)
-    h2 = specfun.hyp2f1_real_z(a2, b2, c2, z)
-    h2p = (a2 * b2 / c2) * specfun.hyp2f1_real_z(a2 + 1, b2 + 1, c2 + 1, z)
-
-    two_ms = cmath.exp(-s * math.log(2.0))
-    ln_x = np.log(xs)
-    g1 = (two_ms * a ** (nu + 1.0) / math.pi * specfun._cospi(nu)
-          * specfun.rgamma(s / 2) * specfun.gamma(-nu - 1.0)
-          * specfun.gamma(1 + nu - s / 2))
-    g2 = -(two_ms / (math.pi * a ** (1.0 + nu)) * specfun.gamma(nu + 1.0)
-           * specfun.gamma(-s / 2) * specfun.rgamma(1 + nu + s / 2))
-    g3 = -(two_ms * a ** (nu + 1.0) / math.pi * cmath.cos(math.pi * s / 2)
-           * specfun.gamma(nu + 1 - s / 2) * specfun.gamma(1 - s / 2)
-           * specfun.rgamma(2.0 + nu))
-    p13 = s - nu - 2.0
-    p2 = nu + s
-    x13 = np.exp(p13 * ln_x)
-    x2 = np.exp(p2 * ln_x)
-    d13 = x13 * (p13 / xs * h13 + h13p * dz_dx)
-    d2 = x2 * (p2 / xs * h2 + h2p * dz_dx)
-    return (g1 + g3) * d13 + g2 * d2
+    Takes the scalar 2F1 route, the reference the matrix path is tested
+    against."""
+    svals, xs = _checked(params, s, x)
+    s, x, nu = complex(svals[0]), float(xs[0]), params.nu
+    z = (params.a / x) ** 2
+    h13 = specfun.hyp2f1_real_z(*_HYP_PARAM_TRIPLES[1](nu, s), z)
+    h2 = specfun.hyp2f1_real_z(*_HYP_PARAM_TRIPLES[2](nu, s), z)
+    g1, g2, g3 = (complex(g[0]) for g in _prefactors_matrix(params, svals))
+    # terms 1 and 3 share one power of x: exponent s - nu - 2
+    p13 = cmath.exp((s - nu - 2.0) * math.log(x))
+    return FnuTermBreakdown(g1 * p13 * h13,
+                            g2 * cmath.exp((nu + s) * math.log(x)) * h2,
+                            g3 * p13 * h13)
 
 
 def F_nu_oracle(params: KernelParams, x: float, s,
@@ -233,10 +176,8 @@ def F_nu_oracle(params: KernelParams, x: float, s,
     int_0^inf lam^{-s} * kernel d lam with oscillation frequency x - a and
     the asymptotic tail taken over once lam * min(x, a) >= 10.
     """
-    s = _validate(params, s)
-    x = float(x)
-    if x <= params.a:
-        raise DomainError("F_nu_oracle: requires x > a")
+    s, x = complex(s), float(x)
+    _checked(params, s, x)
     cfg = cfg or QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9)
 
     def integrand(lam):
@@ -254,10 +195,8 @@ def F_nu_oracle(params: KernelParams, x: float, s,
 
 def F_nu_bound(params: KernelParams, x: float, s) -> float:
     """Envelope x^{Re s - nu} e^{pi |s| / 2} |s|^{-Re s} (constant excluded)."""
-    s = _validate(params, s)
-    x = float(x)
-    if x <= params.a:
-        raise DomainError("F_nu_bound: requires x > a")
+    s, x = complex(s), float(x)
+    _checked(params, s, x)
     mu = s.real
     return x ** (mu - params.nu) * math.exp(0.5 * math.pi * abs(s)) * abs(s) ** (-mu)
 
@@ -278,20 +217,14 @@ def calibrate_bound_constant(params: KernelParams, x_factors, mus, ts) -> float:
     return best
 
 
-_HYP_PARAM_TRIPLES = {
-    1: lambda nu, s: (1 - s / 2, 1 + nu - s / 2, 2 + nu),
-    2: lambda nu, s: (-nu - s / 2, -s / 2, -nu),
-    3: lambda nu, s: (1 + nu - s / 2, 1 - s / 2, 2 + nu),
-}
-
-
 def hyp_term_value(params: KernelParams, x: float, s, which: int) -> complex:
     """The selected 2F1 factor of the closed form at z = a^2/x^2."""
-    s = _validate(params, s)
+    s, x = complex(s), float(x)
+    _checked(params, s, x)
     if which not in (1, 2, 3):
         raise DomainError("which must be 1, 2 or 3")
     a_, b_, c_ = _HYP_PARAM_TRIPLES[which](params.nu, s)
-    z = (params.a / float(x)) ** 2
+    z = (params.a / x) ** 2
     return specfun.gauss_2f1(a_, b_, c_, z)
 
 
@@ -302,10 +235,8 @@ def hyp_estimate_envelope(params: KernelParams, x: float, s, which: int) -> floa
     which=2: x^{-2 nu - Re s} (x^2-a^2)^{nu + Re s/2} |G(-nu)/(G(-s/2) G(-nu+s/2))|
     which=3: x^{2(1+nu)-Re s} (x^2-a^2)^{Re s/2-1-nu} |G(2+nu)/(G(1-s/2) G(1+nu+s/2))|
     """
-    s = _validate(params, s)
-    x = float(x)
-    if x <= params.a:
-        raise DomainError("hyp_estimate_envelope: requires x > a")
+    s, x = complex(s), float(x)
+    _checked(params, s, x)
     nu = params.nu
     mu = s.real
     d2 = x * x - params.a * params.a

@@ -83,22 +83,29 @@ def _contour_nodes(spec: ContourSpec, refine: int):
     return t, w
 
 
+def _contour_sum(fn, spec: ContourSpec, refine: int):
+    """One pass of the contour rule with `refine` times the spec's panels:
+    (1/2 pi) sum_k w_k fn(mu + i t_k).  fn's values die with the call."""
+    t, w = _contour_nodes(spec, refine)
+    vals = np.asarray(fn(spec.mu + 1j * t), dtype=np.complex128)
+    return np.tensordot(w, vals, axes=(0, 0)) / (2.0 * math.pi)
+
+
 def contour_integral(fn, spec: ContourSpec, abs_tol: float = 1e-10,
                      rel_tol: float = 1e-9, max_doublings: int = 4) -> EvaluationReport:
     """(1/2 pi i) Integral of fn(s) ds along the truncated contour.
 
     fn maps a complex array of contour points to values of shape (n,) or
     (n, m) (m = batched evaluation points); the report's value has shape ()
-    or (m,).  Error = panel-refinement increment + measured tail bound.
+    or (m,).  Error = panel-refinement increment + measured tail bound.  The
+    panel count doubles at most max_doublings times; the "refine" diagnostic
+    is the multiple of the spec's panels the value was taken at.
     """
     mu = spec.mu
     prev = None
-    value = None
     inc = math.inf
     for refine_pow in range(max_doublings + 1):
-        t, w = _contour_nodes(spec, 2 ** refine_pow)
-        vals = np.asarray(fn(mu + 1j * t), dtype=np.complex128)
-        value = np.tensordot(w, vals, axes=(0, 0)) / (2.0 * math.pi)
+        value = _contour_sum(fn, spec, 2 ** refine_pow)
         if prev is not None:
             inc = float(np.max(np.abs(value - prev)))
             scale = float(np.max(np.abs(value)))
@@ -133,6 +140,7 @@ def contour_integral(fn, spec: ContourSpec, abs_tol: float = 1e-10,
     rep = EvaluationReport(value if value.ndim else complex(value), err, converged)
     rep.add_diagnostic("tail_bound", tail)
     rep.add_diagnostic("panel_increment", inc if math.isfinite(inc) else 0.0)
+    rep.add_diagnostic("refine", 2 ** refine_pow)
     return rep
 
 
@@ -228,16 +236,11 @@ def parseval_check(f, g, mu: float, cfg: QuadratureConfig | None = None,
     cfg = cfg or QuadratureConfig()
     lhs = mellin_forward(lambda x: np.asarray(f(x)) * np.asarray(g(x)), 1.0, cfg)
 
-    inner_cfg = QuadratureConfig(
-        abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol, origin_cutoff=cfg.origin_cutoff,
-        max_half_periods=cfg.max_half_periods,
-        acceleration_depth=cfg.acceleration_depth)
-
     def fn(svals):
         out = np.empty(svals.shape, dtype=np.complex128)
         for i, sv in enumerate(svals):
-            fa = mellin_forward(f, sv, inner_cfg)
-            gb = mellin_forward(g, 1.0 - sv, inner_cfg)
+            fa = mellin_forward(f, sv, cfg)
+            gb = mellin_forward(g, 1.0 - sv, cfg)
             out[i] = fa.value * gb.value
         return out
 
@@ -251,18 +254,17 @@ def parseval_check(f, g, mu: float, cfg: QuadratureConfig | None = None,
     return rep
 
 
-def class_norm(rep: MellinRepresentation, shrink_factor: float | None = None) -> EvaluationReport:
+def class_norm(rep: MellinRepresentation) -> EvaluationReport:
     """Weighted L1 norm (1/2 pi) int e^{pi c1 |s|} |s^{c2} phi(s)| |ds|,
     truncated at the contour's t_max, plus the tail-shrink membership flag.
 
     converged=False marks a non-member: either the truncated norm fails to
     stabilize or the [t_max, 2 t_max] strip mass is not at least
-    `shrink_factor` below the [t_max/2, t_max] strip mass.
+    `rep.membership_shrink` below the [t_max/2, t_max] strip mass.
     """
     spec = rep.contour
     if spec.mu == 0.0:
         raise DomainError("class_norm: mu = 0 contours are rejected")
-    shrink = shrink_factor if shrink_factor is not None else rep.membership_shrink
     c1, c2 = rep.class_c1, rep.class_c2
 
     def weight(t):
@@ -275,16 +277,11 @@ def class_norm(rep: MellinRepresentation, shrink_factor: float | None = None) ->
                                         np.linspace(lo, hi, 17))
         return abs(val)
 
-    xg, wg = _leggauss(_CONTOUR_GL)
     prev = None
     norm = 0.0
     inc = math.inf
     for refine in (1, 2, 4):
-        edges = np.linspace(-spec.t_max, spec.t_max, spec.n_panels * refine + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        t = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        w = (half[:, None] * wg[None, :]).ravel()
+        t, w = _contour_nodes(spec, refine)
         norm = float(np.sum(w * weight(t))) / (2.0 * math.pi)
         if prev is not None:
             inc = abs(norm - prev)
@@ -302,7 +299,7 @@ def class_norm(rep: MellinRepresentation, shrink_factor: float | None = None) ->
         ratio = 0.0
     else:
         ratio = outer_mass / max(inner_mass, 1e-300)
-        member = stable and (outer_mass * shrink <= inner_mass)
+        member = stable and (outer_mass * rep.membership_shrink <= inner_mass)
     tail_est = outer_mass / (2.0 * math.pi)
     if 0.0 < ratio < 1.0:
         tail_est *= 1.0 / (1.0 - ratio)

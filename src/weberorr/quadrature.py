@@ -51,11 +51,9 @@ def _leggauss(n: int):
     return x, w
 
 
-def _panel_values(f, edges: np.ndarray, order: int) -> np.ndarray:
-    """Composite GL: integral of f over each [edges[i], edges[i+1]]."""
+def _panel_values(f, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarray:
+    """Composite GL, one batch: integral of f over each panel [lo[i], hi[i]]."""
     xg, wg = _leggauss(order)
-    lo = edges[:-1]
-    hi = edges[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
@@ -75,7 +73,7 @@ def _adaptive_finite(f, lo: float, hi: float, abs_tol: float, rel_tol: float,
     if initial_edges is None:
         initial_edges = np.linspace(lo, hi, 9)
     edges = np.asarray(initial_edges, dtype=np.float64)
-    parent_vals = _panel_values(f, edges, _ADAPT_ORDER)
+    parent_vals = _panel_values(f, edges[:-1], edges[1:], _ADAPT_ORDER)
     nevals = (len(edges) - 1) * _ADAPT_ORDER
     done_vals: list[complex] = []
     done_errs: list[float] = []
@@ -90,7 +88,7 @@ def _adaptive_finite(f, lo: float, hi: float, abs_tol: float, rel_tol: float,
         sub_hi = np.repeat(cur_hi, 2)
         sub_lo[1::2] = mids
         sub_hi[0::2] = mids
-        child_vals = _panel_values_pairs(f, sub_lo, sub_hi)
+        child_vals = _panel_values(f, sub_lo, sub_hi, _ADAPT_ORDER)
         nevals += len(sub_lo) * _ADAPT_ORDER
         pair_sum = child_vals[0::2] + child_vals[1::2]
         errs = np.abs(parent_vals - pair_sum)
@@ -135,18 +133,6 @@ def _adaptive_finite(f, lo: float, hi: float, abs_tol: float, rel_tol: float,
     return value, err, converged, nevals
 
 
-def _panel_values_pairs(f, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-    """Composite GL over an explicit list of (lo, hi) panels, one batch."""
-    xg, wg = _leggauss(_ADAPT_ORDER)
-    mid = 0.5 * (los + his)
-    half = 0.5 * (his - los)
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    vals = np.asarray(f(nodes), dtype=np.complex128).reshape(len(los), _ADAPT_ORDER)
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("integrand returned a non-finite value")
-    return (vals * wg[None, :]).sum(axis=1) * half
-
-
 def _euler_accelerate(chunks: np.ndarray, depth: int):
     """Iterated averaging of the partial sums of alternating chunk integrals.
 
@@ -189,7 +175,7 @@ def integrate_oscillatory_tail(integrand, phase_frequency: float, start: float,
         k_target = min(k_target, max_k)
         if k_target > k_have:
             edges = start + h * np.arange(k_have, k_target + 1)
-            new = _panel_values(integrand, edges, _GL_ORDER)
+            new = _panel_values(integrand, edges[:-1], edges[1:], _GL_ORDER)
             chunks = np.concatenate([chunks, new])
             k_have = k_target
             abs_mass = float(np.sum(np.abs(chunks)))
@@ -377,7 +363,7 @@ def raw_tail_sum(integrand, phase_frequency: float, start: float,
         raise DomainError("raw_tail_sum: phase_frequency must be > 0")
     h = math.pi / phase_frequency
     edges = start + h * np.arange(n_half_periods + 1)
-    return complex(np.sum(_panel_values(integrand, edges, order)))
+    return complex(np.sum(_panel_values(integrand, edges[:-1], edges[1:], order)))
 
 
 def truncation_remainders(integrand, phase_frequency: float, start: float,
@@ -393,7 +379,7 @@ def truncation_remainders(integrand, phase_frequency: float, start: float,
     kmax = period_counts[-1]
     h = math.pi / phase_frequency
     edges = start + h * np.arange(2 * kmax + 1)
-    chunks = _panel_values(integrand, edges, _GL_ORDER)
+    chunks = _panel_values(integrand, edges[:-1], edges[1:], _GL_ORDER)
     partial = np.cumsum(chunks)
     ns, rems = [], []
     for k in period_counts:

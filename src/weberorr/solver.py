@@ -24,7 +24,7 @@ from . import specfun
 from .closedform import fnu_dx_matrix, fnu_matrix
 from .errors import DomainError, MembershipError, StripError
 from .kernels import KernelParams, kernel_C, weber_kernel
-from .mellin import (ContourSpec, MellinRepresentation, _contour_nodes,
+from .mellin import (ContourSpec, MellinRepresentation, _contour_sum,
                      _phi_values, contour_integral)
 from .quadrature import (QuadratureConfig, integrate_improper,
                          integrate_semiinfinite_from_a)
@@ -81,11 +81,13 @@ class TestFunctionFamily:
 
 @dataclass
 class SolveResult:
-    """Grid solution: (lambda, phi value, error estimate) rows."""
+    """Grid solution: (lambda, phi value, error estimate) rows; converged is
+    False when any row missed its tolerance."""
 
     phi_values: list[tuple[float, complex, float]]
     config_echo: QuadratureConfig
     diagnostics: list[tuple[str, float]] = field(default_factory=list)
+    converged: bool = True
 
     def __post_init__(self):
         lams = [row[0] for row in self.phi_values]
@@ -137,21 +139,20 @@ def forward_direct(phi, params: KernelParams, x: float,
                               asymptotic_start=start)
 
 
+def _forward_integrand(rep: MellinRepresentation, params: KernelParams,
+                       matrix_fn, xs):
+    """Contour points -> symbol(s) * matrix_fn(x, s) for the abscissas xs."""
+    return lambda svals: _phi_values(rep, svals)[:, None] * matrix_fn(params, svals, xs)
+
+
 def forward_contour_profile(rep: MellinRepresentation, params: KernelParams,
-                            xs, abs_tol: float = 1e-9, rel_tol: float = 1e-8,
-                            checked: bool = False) -> EvaluationReport:
+                            xs, abs_tol: float = 1e-9,
+                            rel_tol: float = 1e-8) -> EvaluationReport:
     """f on an array of abscissas via the contour form: the symbol times the
     closed-form kernel image, integrated along the representation's contour."""
-    if not checked:
-        _require_forward_admissible(rep, params)
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    if np.any(xs <= params.a):
-        raise DomainError("forward_contour: requires x > a")
-
-    def fn(svals):
-        return _phi_values(rep, svals)[:, None] * fnu_matrix(params, svals, xs)
-
-    return contour_integral(fn, rep.contour, abs_tol, rel_tol)
+    _require_forward_admissible(rep, params)
+    return contour_integral(_forward_integrand(rep, params, fnu_matrix, xs),
+                            rep.contour, abs_tol, rel_tol)
 
 
 def forward_contour(rep: MellinRepresentation, params: KernelParams, x: float,
@@ -165,62 +166,43 @@ def forward_contour(rep: MellinRepresentation, params: KernelParams, x: float,
 def _make_contour_profile(rep: MellinRepresentation, params: KernelParams,
                           matrix_fn, abs_tol: float, rel_tol: float):
     """Closure evaluating the contour integral of phi * matrix_fn over
-    t-batches.  The panel refinement is established by doubling on the first
-    call and pinned afterwards (the integrand's analytic structure does not
-    change between batches); the recorded increment plus a per-call tail
-    probe feed the error estimate.
+    t-batches.  The first call refines through contour_integral and pins the
+    panel refinement it ended on (the integrand's analytic structure does
+    not change between batches); later calls make one pass at that level.
     """
-    spec = rep.contour
-    state = {"refine": 1, "settled": False, "inc": math.inf}
-
-    def evaluate(svals, ts):
-        return _phi_values(rep, svals)[:, None] * matrix_fn(params, svals, ts)
+    refine = None
 
     def profile(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-        if np.any(ts <= params.a):
-            raise DomainError("forward profile: requires t > a")
-        if not state["settled"]:
-            t1, w1 = _contour_nodes(spec, state["refine"])
-            vals = np.tensordot(w1, evaluate(spec.mu + 1j * t1, ts), axes=(0, 0))
-            for _ in range(4):
-                refine2 = state["refine"] * 2
-                t2, w2 = _contour_nodes(spec, refine2)
-                vals2 = np.tensordot(w2, evaluate(spec.mu + 1j * t2, ts), axes=(0, 0))
-                inc = float(np.max(np.abs(vals2 - vals)))
-                scale = float(np.max(np.abs(vals2)))
-                vals, state["refine"], state["inc"] = vals2, refine2, inc
-                if inc <= 0.25 * max(abs_tol, rel_tol * scale):
-                    state["settled"] = True
-                    break
-            return vals / (2.0 * math.pi)
-        t1, w1 = _contour_nodes(spec, state["refine"])
-        vals = np.tensordot(w1, evaluate(spec.mu + 1j * t1, ts), axes=(0, 0))
-        return vals / (2.0 * math.pi)
+        nonlocal refine
+        fn = _forward_integrand(rep, params, matrix_fn, ts)
+        if refine is None:
+            out = contour_integral(fn, rep.contour, abs_tol, rel_tol)
+            refine = int(out.diagnostic("refine"))
+            return out.value
+        return _contour_sum(fn, rep.contour, refine)
 
-    return profile, state
+    return profile
 
 
 def make_forward_function(rep: MellinRepresentation, params: KernelParams,
                           abs_tol: float = 1e-9, rel_tol: float = 1e-8):
     """Vectorized t -> f(t) closure (membership checked once, here)."""
     _require_forward_admissible(rep, params)
-    profile, _ = _make_contour_profile(rep, params, fnu_matrix, abs_tol, rel_tol)
-    return profile
+    return _make_contour_profile(rep, params, fnu_matrix, abs_tol, rel_tol)
 
 
 def make_forward_derivative_function(rep: MellinRepresentation, params: KernelParams,
                                      abs_tol: float = 1e-9, rel_tol: float = 1e-8):
     """Vectorized t -> f'(t) closure via the differentiated closed form."""
     _require_forward_admissible(rep, params)
-    profile, _ = _make_contour_profile(rep, params, fnu_dx_matrix, abs_tol, rel_tol)
-    return profile
+    return _make_contour_profile(rep, params, fnu_dx_matrix, abs_tol, rel_tol)
 
 
-def inverse_solve(f, params: KernelParams, lam: float,
-                  cfg: QuadratureConfig | None = None) -> EvaluationReport:
-    """Closed-form inverse: phi(lam) = lam/(J^2+Y^2 at a lam) * int_a^inf
-    t f(t) [J_nu(lam t) Y_{nu+1}(a lam) - Y_nu(lam t) J_{nu+1}(a lam)] dt."""
+def _closed_form_inverse(integrand, params: KernelParams, lam: float,
+                         cfg: QuadratureConfig | None,
+                         numerator: float) -> EvaluationReport:
+    """Scaffold of both inverse forms: numerator / (J^2 + Y^2 at a lam)
+    times int_a^inf integrand(t, lam) dt."""
     params.require_solver_order()
     cfg = cfg or QuadratureConfig()
     lam = float(lam)
@@ -232,21 +214,27 @@ def inverse_solve(f, params: KernelParams, lam: float,
         raise DomainError(
             "inverse_solve: denominator underflow - J^2+Y^2 is strictly "
             "positive, this signals an evaluation failure")
-
-    def integrand(ts):
-        ts = np.asarray(ts, dtype=np.float64)
-        return ts * np.asarray(f(ts), dtype=np.complex128) \
-            * weber_kernel(params, ts, lam)
-
     start = params.a + max(cfg.origin_cutoff, 10.0 / lam)
-    inner = integrate_semiinfinite_from_a(integrand, params.a, lam, cfg,
-                                          asymptotic_start=start)
-    scale = lam / denom
+    inner = integrate_semiinfinite_from_a(
+        lambda ts: integrand(np.asarray(ts, dtype=np.float64), lam),
+        params.a, lam, cfg, asymptotic_start=start)
+    scale = numerator / denom
     rep = EvaluationReport(scale * inner.value,
                            abs(scale) * inner.abs_error_estimate,
                            inner.converged, list(inner.diagnostics))
     rep.add_diagnostic("denominator", denom)
     return rep
+
+
+def inverse_solve(f, params: KernelParams, lam: float,
+                  cfg: QuadratureConfig | None = None) -> EvaluationReport:
+    """Closed-form inverse: phi(lam) = lam/(J^2+Y^2 at a lam) * int_a^inf
+    t f(t) [J_nu(lam t) Y_{nu+1}(a lam) - Y_nu(lam t) J_{nu+1}(a lam)] dt."""
+    def integrand(ts, lam):
+        return ts * np.asarray(f(ts), dtype=np.complex128) \
+            * weber_kernel(params, ts, lam)
+
+    return _closed_form_inverse(integrand, params, lam, cfg, float(lam))
 
 
 def inverse_solve_derivative_form(f, f_prime, params: KernelParams, lam: float,
@@ -255,44 +243,28 @@ def inverse_solve_derivative_form(f, f_prime, params: KernelParams, lam: float,
     C_{nu+1}(lam t, lam a) t^{nu+1} d/dt[t^{-nu} f(t)] dt, with the
     derivative assembled from f and f_prime (t f' - nu f after the powers
     cancel)."""
-    params.require_solver_order()
-    cfg = cfg or QuadratureConfig()
-    lam = float(lam)
-    if not lam > 0.0:
-        raise DomainError("inverse_solve: lambda must be > 0")
-    ja, ya = specfun.bessel_jy(params.nu + 1.0, params.a * lam)
-    denom = ja * ja + ya * ya
-    if denom == 0.0 or not math.isfinite(denom):
-        raise DomainError("inverse_solve: denominator underflow")
-
-    def integrand(ts):
-        ts = np.asarray(ts, dtype=np.float64)
+    def integrand(ts, lam):
         dcomb = ts * np.asarray(f_prime(ts), dtype=np.complex128) \
             - params.nu * np.asarray(f(ts), dtype=np.complex128)
         return kernel_C(params.nu + 1.0, lam * ts, lam * params.a) * dcomb
 
-    start = params.a + max(cfg.origin_cutoff, 10.0 / lam)
-    inner = integrate_semiinfinite_from_a(integrand, params.a, lam, cfg,
-                                          asymptotic_start=start)
-    scale = -1.0 / denom
-    rep = EvaluationReport(scale * inner.value,
-                           abs(scale) * inner.abs_error_estimate,
-                           inner.converged, list(inner.diagnostics))
-    rep.add_diagnostic("denominator", denom)
-    return rep
+    return _closed_form_inverse(integrand, params, lam, cfg, -1.0)
 
 
 def solve_grid(f, params: KernelParams, lambdas,
                cfg: QuadratureConfig | None = None) -> SolveResult:
-    """inverse_solve over a strictly increasing lambda grid."""
+    """inverse_solve over a strictly increasing lambda grid; the result's
+    converged is False when any lambda missed its tolerance."""
     cfg = cfg or QuadratureConfig()
     rows = []
     worst = 0.0
+    converged = True
     for lam in lambdas:
         rep = inverse_solve(f, params, float(lam), cfg)
         rows.append((float(lam), complex(rep.value), rep.abs_error_estimate))
         worst = max(worst, rep.abs_error_estimate)
-    out = SolveResult(rows, cfg)
+        converged &= bool(rep.converged)
+    out = SolveResult(rows, cfg, converged=converged)
     out.diagnostics.append(("max_error_estimate", worst))
     return out
 

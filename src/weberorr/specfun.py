@@ -74,9 +74,10 @@ def _gamma_array(z):
 
 
 def _near_nonpositive_integer(z, tol: float) -> bool:
-    z = complex(z)
-    n = round(z.real)
-    return n <= 0 and abs(z - n) < tol
+    """Does z (a scalar or any entry of an array) lie within tol of a pole?"""
+    z = np.asarray(z, dtype=np.complex128)
+    n = np.round(z.real)
+    return bool(np.any((n <= 0) & (np.abs(z - n) < tol)))
 
 
 def gamma(s) -> complex:
@@ -563,6 +564,8 @@ def hyp2f1_matrix(a, b, c, z) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z, dtype=np.float64))
     if np.any(z < 0.0) or np.any(z >= 1.0):
         raise DomainError("hyp2f1: z must lie in [0, 1)")
+    if _near_nonpositive_integer(c, 1e-12):
+        raise PoleProximityError("hyp2f1: a row's c is within 1e-12 of a pole")
     out = np.empty((len(a), len(z)), dtype=np.complex128)
     lo = z <= 0.75
     if lo.any():

@@ -6,6 +6,7 @@ import pytest
 from conftest import rel_err
 from weberorr import specfun as sf
 from weberorr.errors import DomainError, MembershipError
+from weberorr.closedform import fnu_matrix
 from weberorr.kernels import KernelParams
 from weberorr.mellin import ContourSpec, MellinRepresentation, contour_integral
 from weberorr.quadrature import QuadratureConfig
@@ -169,12 +170,50 @@ class TestInverse:
         for lam, val, err in res.phi_values:
             assert rel_err(val, FAM21.phi(lam)) <= 1e-4
             assert err >= 0.0
+        assert res.converged
+
+    def test_solve_grid_reports_nonconvergence(self):
+        # half-period budget too small for the tolerance: every lambda misses
+        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_half_periods=8)
+        f = lambda ts: 1.0 / np.asarray(ts, dtype=np.float64) ** 2
+        assert not inverse_solve(f, P75, 0.5, cfg).converged
+        res = solve_grid(f, P75, [0.5, 2.0], cfg)
+        assert res.converged is False
+        assert len(res.phi_values) == 2
 
     def test_solve_result_validation(self):
         with pytest.raises(DomainError):
             SolveResult([(1.0, 0j, 0.0), (0.5, 0j, 0.0)], QuadratureConfig())
         with pytest.raises(DomainError):
             SolveResult([(1.0, 0j, -1.0)], QuadratureConfig())
+
+
+class TestForwardProfileCost:
+    def test_unsettled_profile_has_bounded_cost(self, monkeypatch):
+        # tolerances no refinement can meet: the first call stops at the
+        # doubling cap and later calls stay at that level
+        import weberorr.solver as solver_mod
+        spec = ContourSpec(mu=default_contour(P75).mu, t_max=8.0, n_panels=8)
+        cap = spec.n_panels * 16 * 12  # four doublings of 12-point panels
+        rows = []
+
+        def counting(params, svals, xs):
+            rows.append(np.size(svals))
+            # fail before a runaway refinement allocates its matrices
+            assert rows[-1] <= cap
+            return fnu_matrix(params, svals, xs)
+
+        monkeypatch.setattr(solver_mod, "fnu_matrix", counting)
+        f = make_forward_function(FAM21.representation(spec), P75,
+                                  abs_tol=1e-15, rel_tol=1e-15)
+        ts = np.array([1.001, 2.0])  # x near a keeps the increment up
+        f(ts)
+        per_call = []
+        for _ in range(3):
+            rows.clear()
+            f(ts)
+            per_call.append(sum(rows))
+        assert per_call == [cap] * 3
 
 
 class TestReducedEquation:

@@ -201,6 +201,12 @@ class TestHyp2F1:
             sf.gauss_2f1(1, 1, 0.0, 0.5)
         with pytest.raises(PoleProximityError):
             sf.gauss_2f1(1, 1, -2.0 + 1e-13j, 0.5)
+        # both routes guard the c poles, the matrix one row by row
+        z = np.array([0.2, 0.9])
+        with pytest.raises(PoleProximityError):
+            sf.hyp2f1_real_z(0.5, 0.3, -2.0, z)
+        with pytest.raises(PoleProximityError):
+            sf.hyp2f1_matrix([0.5, 0.5], [0.3, 0.3], [1.5, -2.0], z)
         # near-integer c-a-b with z too close to 1 for the series fallback
         with pytest.raises(ConvergenceError):
             sf.gauss_2f1(0.5, 0.5, 2.0 + 1e-9, 0.97)
