@@ -24,7 +24,8 @@ from .mellin import (ContourSpec, MellinRepresentation, class_norm,
                      mellin_inverse, parseval_check)
 from .quadrature import QuadratureConfig
 from .solver import (TestFunctionFamily, default_contour,
-                     inverse_solve, inverse_solve_derivative_form,
+                     forward_contour_profile, inverse_solve,
+                     inverse_solve_derivative_form,
                      make_forward_derivative_function, make_forward_function)
 
 EXIT_OK = 0
@@ -257,13 +258,14 @@ def _family_setup(cfg: RunConfig):
 
 def _run_forward(cfg: RunConfig) -> list[Row]:
     params, fam, rep = _family_setup(cfg)
-    f = make_forward_function(rep, params, cfg.tol_abs, cfg.tol_rel)
     xs = [x for x in cfg.grid if x > params.a]
     if not xs:
         raise ValueError("forward: grid must contain abscissas > a")
-    vals = f(np.asarray(xs))
-    return [Row({"nu": cfg.nu, "a": cfg.a, "x": x}, complex(v), 0.0, True)
-            for x, v in zip(xs, vals)]
+    out = forward_contour_profile(rep, params, np.asarray(xs), cfg.tol_abs,
+                                  cfg.tol_rel)
+    return [Row({"nu": cfg.nu, "a": cfg.a, "x": x}, complex(v),
+                out.abs_error_estimate, out.converged)
+            for x, v in zip(xs, out.value)]
 
 
 def _run_solve(cfg: RunConfig) -> list[Row]:

@@ -17,6 +17,7 @@ the constants unspecified).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -201,20 +202,28 @@ def F_nu_bound(params: KernelParams, x: float, s) -> float:
     return x ** (mu - params.nu) * math.exp(0.5 * math.pi * abs(s)) * abs(s) ** (-mu)
 
 
+def _grid_max_ratio(params: KernelParams, x_factors, mus, ts, value, envelope,
+                    admissible=lambda s: True) -> float:
+    """Max of |value(x, s)| / envelope(x, s) over the probe grid x = a * fx,
+    s = mu + i t, skipping inadmissible s and points with a zero envelope."""
+    best = 0.0
+    for fx, mu, t in itertools.product(x_factors, mus, ts):
+        x, s = params.a * fx, complex(mu, t)
+        if not admissible(s):
+            continue
+        val = abs(value(x, s))
+        env = envelope(x, s)
+        if env > 0.0:
+            best = max(best, val / env)
+    return best
+
+
 def calibrate_bound_constant(params: KernelParams, x_factors, mus, ts) -> float:
     """Max of |F| / envelope over the probe grid; the held-out inequality
     |F| <= C * envelope is then checked elsewhere on fresh points."""
-    best = 0.0
-    for fx in x_factors:
-        x = params.a * fx
-        for mu in mus:
-            for t in ts:
-                s = complex(mu, t)
-                val = abs(F_nu_closed(params, x, s).total)
-                env = F_nu_bound(params, x, s)
-                if env > 0.0:
-                    best = max(best, val / env)
-    return best
+    return _grid_max_ratio(params, x_factors, mus, ts,
+                           lambda x, s: F_nu_closed(params, x, s).total,
+                           lambda x, s: F_nu_bound(params, x, s))
 
 
 def hyp_term_value(params: KernelParams, x: float, s, which: int) -> complex:
@@ -231,28 +240,19 @@ def hyp_term_value(params: KernelParams, x: float, s, which: int) -> complex:
 def hyp_estimate_envelope(params: KernelParams, x: float, s, which: int) -> float:
     """Right-hand side of the selected 2F1 estimate, constant excluded.
 
+    Euler's integral (DLMF 15.6.1) bounds the factor 2F1(a, b; c; z) at
+    z = (inner radius / x)^2 by |G(c)/(G(b) G(c-b))| (1 - z)^{-Re a}:
     which=1: x^{2-Re s} (x^2-a^2)^{Re s/2 - 1} |G(2+nu)/(G(1+nu-s/2) G(1+s/2))|
     which=2: x^{-2 nu - Re s} (x^2-a^2)^{nu + Re s/2} |G(-nu)/(G(-s/2) G(-nu+s/2))|
     which=3: x^{2(1+nu)-Re s} (x^2-a^2)^{Re s/2-1-nu} |G(2+nu)/(G(1-s/2) G(1+nu+s/2))|
     """
     s, x = complex(s), float(x)
     _checked(params, s, x)
-    nu = params.nu
-    mu = s.real
-    d2 = x * x - params.a * params.a
-    if which == 1:
-        gam = abs(specfun.gamma(2 + nu) * specfun.rgamma(1 + nu - s / 2)
-                  * specfun.rgamma(1 + s / 2))
-        return x ** (2.0 - mu) * d2 ** (0.5 * mu - 1.0) * gam
-    if which == 2:
-        gam = abs(specfun.gamma(-nu) * specfun.rgamma(-s / 2)
-                  * specfun.rgamma(-nu + s / 2))
-        return x ** (-2.0 * nu - mu) * d2 ** (nu + 0.5 * mu) * gam
-    if which == 3:
-        gam = abs(specfun.gamma(2 + nu) * specfun.rgamma(1 - s / 2)
-                  * specfun.rgamma(1 + nu + s / 2))
-        return x ** (2.0 * (1.0 + nu) - mu) * d2 ** (0.5 * mu - 1.0 - nu) * gam
-    raise DomainError("which must be 1, 2 or 3")
+    if which not in _HYP_PARAM_TRIPLES:
+        raise DomainError("which must be 1, 2 or 3")
+    a_, b_, c_ = _HYP_PARAM_TRIPLES[which](params.nu, s)
+    gam = abs(specfun.gamma(c_) * specfun.rgamma(b_) * specfun.rgamma(c_ - b_))
+    return gam * (1.0 - (params.a / x) ** 2) ** (-a_.real)
 
 
 def hyp_estimate_admissible(params: KernelParams, s, which: int) -> bool:
@@ -266,18 +266,11 @@ def hyp_estimate_admissible(params: KernelParams, s, which: int) -> bool:
 
 
 def calibrate_hyp_constant(params: KernelParams, which: int, x_factors, mus, ts) -> float:
-    best = 0.0
-    for fx in x_factors:
-        x = params.a * fx
-        for mu in mus:
-            for t in ts:
-                s = complex(mu, t)
-                if not hyp_estimate_admissible(params, s, which):
-                    continue
-                lhs = abs(hyp_term_value(params, x, s, which))
-                rhs = hyp_estimate_envelope(params, x, s, which)
-                if rhs > 0.0:
-                    best = max(best, lhs / rhs)
+    best = _grid_max_ratio(
+        params, x_factors, mus, ts,
+        lambda x, s: hyp_term_value(params, x, s, which),
+        lambda x, s: hyp_estimate_envelope(params, x, s, which),
+        lambda s: hyp_estimate_admissible(params, s, which))
     if best == 0.0:
         raise DomainError(
             "calibrate_hyp_constant: no Euler-admissible probe points")

@@ -20,6 +20,7 @@ from .quadrature import QuadratureConfig, _adaptive_finite, _leggauss
 from .report import EvaluationReport
 
 _CONTOUR_GL = 12
+_MEMBERSHIP_SHRINK = 10.0  # tail-mass drop a member shows when t_max doubles
 
 
 @dataclass(frozen=True)
@@ -46,14 +47,13 @@ class MellinRepresentation:
     phi must be evaluable (vectorized) everywhere on the contour.  Whether
     the pair actually belongs to the weighted class is decided numerically:
     the truncated norm must be finite and its strip-to-strip tail mass must
-    shrink by `membership_shrink` when t_max doubles.
+    shrink _MEMBERSHIP_SHRINK-fold when t_max doubles.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
     contour: ContourSpec
     class_c1: float = 0.0
     class_c2: float = 0.0
-    membership_shrink: float = 10.0
     _membership: EvaluationReport | None = field(
         default=None, repr=False, compare=False)
 
@@ -122,9 +122,7 @@ def contour_integral(fn, spec: ContourSpec, abs_tol: float = 1e-10,
     decaying = True
     for sign in (+1.0, -1.0):
         vals = np.abs(np.asarray(fn(mu + 1j * sign * t_probe), dtype=np.complex128))
-        v1 = float(np.max(vals[0])) if vals.ndim > 1 else float(vals[0])
-        v2 = float(np.max(vals[1])) if vals.ndim > 1 else float(vals[1])
-        v3 = float(np.max(vals[2])) if vals.ndim > 1 else float(vals[2])
+        v1, v2, v3 = vals.reshape(3, -1).max(axis=1).tolist()
         if v1 <= floor and v2 <= floor and v3 <= floor:
             tail += (v1 + v2 + v3) * spec.t_max / (2.0 * math.pi)
             continue
@@ -260,7 +258,7 @@ def class_norm(rep: MellinRepresentation) -> EvaluationReport:
 
     converged=False marks a non-member: either the truncated norm fails to
     stabilize or the [t_max, 2 t_max] strip mass is not at least
-    `rep.membership_shrink` below the [t_max/2, t_max] strip mass.
+    _MEMBERSHIP_SHRINK times below the [t_max/2, t_max] strip mass.
     """
     spec = rep.contour
     if spec.mu == 0.0:
@@ -277,15 +275,13 @@ def class_norm(rep: MellinRepresentation) -> EvaluationReport:
                                         np.linspace(lo, hi, 17))
         return abs(val)
 
-    prev = None
-    norm = 0.0
-    inc = math.inf
-    for refine in (1, 2, 4):
+    def truncated_norm(refine):
         t, w = _contour_nodes(spec, refine)
-        norm = float(np.sum(w * weight(t))) / (2.0 * math.pi)
-        if prev is not None:
-            inc = abs(norm - prev)
-        prev = norm
+        return float(np.sum(w * weight(t))) / (2.0 * math.pi)
+
+    prev = truncated_norm(2)
+    norm = truncated_norm(4)
+    inc = abs(norm - prev)
     half_t = 0.5 * spec.t_max
     inner_mass = strip_mass(half_t, spec.t_max) + strip_mass(-spec.t_max, -half_t)
     outer_mass = strip_mass(spec.t_max, 2.0 * spec.t_max) + \
@@ -299,7 +295,7 @@ def class_norm(rep: MellinRepresentation) -> EvaluationReport:
         ratio = 0.0
     else:
         ratio = outer_mass / max(inner_mass, 1e-300)
-        member = stable and (outer_mass * rep.membership_shrink <= inner_mass)
+        member = stable and (outer_mass * _MEMBERSHIP_SHRINK <= inner_mass)
     tail_est = outer_mass / (2.0 * math.pi)
     if 0.0 < ratio < 1.0:
         tail_est *= 1.0 / (1.0 - ratio)

@@ -357,13 +357,13 @@ def integrate_semiinfinite_from_a(integrand, a: float, phase_frequency: float,
 
 
 def raw_tail_sum(integrand, phase_frequency: float, start: float,
-                 n_half_periods: int, order: int = _GL_ORDER) -> complex:
+                 n_half_periods: int) -> complex:
     """Plain (unaccelerated) sum of n half-period chunks from `start`."""
     if not phase_frequency > 0.0:
         raise DomainError("raw_tail_sum: phase_frequency must be > 0")
     h = math.pi / phase_frequency
     edges = start + h * np.arange(n_half_periods + 1)
-    return complex(np.sum(_panel_values(integrand, edges[:-1], edges[1:], order)))
+    return complex(np.sum(_panel_values(integrand, edges[:-1], edges[1:], _GL_ORDER)))
 
 
 def truncation_remainders(integrand, phase_frequency: float, start: float,

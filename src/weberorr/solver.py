@@ -70,13 +70,12 @@ class TestFunctionFamily:
         s = np.asarray(s, dtype=np.complex128)
         return self.symbol(s + 1.0)
 
-    def representation(self, contour: ContourSpec,
-                       class_c1: float = 0.5, class_c2: float = 1.0) -> MellinRepresentation:
+    def representation(self, contour: ContourSpec) -> MellinRepresentation:
         lo, hi = self.strip
         if not (lo < contour.mu < hi):
             raise StripError(
                 f"family contour mu={contour.mu} outside the strip ({lo}, {hi})")
-        return MellinRepresentation(self.symbol, contour, class_c1, class_c2)
+        return MellinRepresentation(self.symbol, contour, 0.5, 1.0)
 
 
 @dataclass
@@ -97,11 +96,10 @@ class SolveResult:
             raise DomainError("SolveResult: error estimates must be non-negative")
 
 
-def default_contour(params: KernelParams, t_max: float = 32.0,
-                    n_panels: int = 32) -> ContourSpec:
+def default_contour(params: KernelParams) -> ContourSpec:
     """Midpoint of the admissible strip (-1, nu): maximal pole clearance."""
     params.require_solver_order()
-    return ContourSpec(mu=0.5 * (-1.0 + params.nu), t_max=t_max, n_panels=n_panels)
+    return ContourSpec(mu=0.5 * (-1.0 + params.nu), t_max=32.0, n_panels=32)
 
 
 def _require_forward_admissible(rep: MellinRepresentation, params: KernelParams):
@@ -113,9 +111,7 @@ def _require_forward_admissible(rep: MellinRepresentation, params: KernelParams)
         raise DomainError(
             f"forward_contour: mu={mu} must lie left of nu={params.nu} "
             "for the transform to decay")
-    flag = MellinRepresentation(rep.phi, rep.contour, 0.5, 1.0,
-                                rep.membership_shrink)
-    if not flag.is_member():
+    if not MellinRepresentation(rep.phi, rep.contour, 0.5, 1.0).is_member():
         raise MembershipError(
             "forward_contour: symbol failed the exponential-weight (1/2, 1) "
             "membership flag")
@@ -214,10 +210,9 @@ def _closed_form_inverse(integrand, params: KernelParams, lam: float,
         raise DomainError(
             "inverse_solve: denominator underflow - J^2+Y^2 is strictly "
             "positive, this signals an evaluation failure")
-    start = params.a + max(cfg.origin_cutoff, 10.0 / lam)
     inner = integrate_semiinfinite_from_a(
         lambda ts: integrand(np.asarray(ts, dtype=np.float64), lam),
-        params.a, lam, cfg, asymptotic_start=start)
+        params.a, lam, cfg)
     scale = numerator / denom
     rep = EvaluationReport(scale * inner.value,
                            abs(scale) * inner.abs_error_estimate,
@@ -324,12 +319,12 @@ _SLOW_FREQ = 0.3  # below this the oscillatory tail model is not worth it
 def _inner_improper(integrand, lower: float, freq: float, cfg: QuadratureConfig,
                     start_hint: float | None = None) -> complex:
     """Inner-integral helper for the expansions: falls back to the
-    non-oscillatory route when the beat frequency is too slow."""
+    non-oscillatory route when the beat frequency is too slow.  start_hint
+    is the asymptotic start of the oscillatory route from lower = 0."""
     if abs(freq) < _SLOW_FREQ:
         rep = integrate_improper(integrand, lower, 0.0, cfg)
     elif lower > 0.0:
-        rep = integrate_semiinfinite_from_a(integrand, lower, abs(freq), cfg,
-                                            asymptotic_start=start_hint)
+        rep = integrate_semiinfinite_from_a(integrand, lower, abs(freq), cfg)
     else:
         rep = integrate_improper(integrand, lower, abs(freq), cfg,
                                  asymptotic_start=start_hint)
@@ -359,8 +354,7 @@ def expansion_titchmarsh(g, params: KernelParams, x: float,
             xi = np.asarray(xi, dtype=np.float64)
             return kernel_C(nu, t * xi, a * xi) * np.asarray(g(xi), dtype=np.complex128)
         return _inner_improper(h, 0.0, t - a, cfg,
-                               start_hint=max(cfg.origin_cutoff, 10.0 / min(t, a))
-                               if abs(t - a) >= _SLOW_FREQ else None)
+                               start_hint=max(cfg.origin_cutoff, 10.0 / min(t, a)))
 
     inner = _memoized_profile(inner_scalar)
 
@@ -368,8 +362,7 @@ def expansion_titchmarsh(g, params: KernelParams, x: float,
         ts = np.asarray(ts, dtype=np.float64)
         return kernel_C(nu, x * ts, x * a) * ts * inner(ts)
 
-    out = integrate_semiinfinite_from_a(
-        outer, a, x, cfg, asymptotic_start=a + max(cfg.origin_cutoff, 10.0 / x))
+    out = integrate_semiinfinite_from_a(outer, a, x, cfg)
     jax_, yax = specfun.bessel_jy(nu, a * x)
     recon = x / (jax_ * jax_ + yax * yax) * complex(out.value)
     g_at = complex(np.asarray(g(np.array([x])), dtype=np.complex128)[0])
@@ -406,9 +399,7 @@ def expansion_weber_orr(f, params: KernelParams, x: float, variant: int,
                 xi = np.asarray(xi, dtype=np.float64)
                 return kernel_C(nu, xi * t, a * t) * xi \
                     * np.asarray(f(xi), dtype=np.complex128)
-            return _inner_improper(h, a, t, cfg,
-                                   start_hint=a + max(cfg.origin_cutoff, 10.0 / t)
-                                   if t >= _SLOW_FREQ else None)
+            return _inner_improper(h, a, t, cfg)
 
         inner = _memoized_profile(inner_scalar)
 
@@ -428,9 +419,7 @@ def expansion_weber_orr(f, params: KernelParams, x: float, variant: int,
                 return kernel_C(nu, t * xi, a * xi) / (ja * ja + ya * ya) * xi \
                     * np.asarray(f(xi), dtype=np.complex128)
             return _inner_improper(h, 0.0, t - a, cfg,
-                                   start_hint=max(cfg.origin_cutoff,
-                                                  10.0 / min(t, a))
-                                   if abs(t - a) >= _SLOW_FREQ else None)
+                                   start_hint=max(cfg.origin_cutoff, 10.0 / min(t, a)))
 
         inner = _memoized_profile(inner_scalar)
 
@@ -438,8 +427,7 @@ def expansion_weber_orr(f, params: KernelParams, x: float, variant: int,
             ts = np.asarray(ts, dtype=np.float64)
             return kernel_C(nu, x * ts, x * a) * ts * inner(ts)
 
-        out = integrate_semiinfinite_from_a(
-            outer, a, x, cfg, asymptotic_start=a + max(cfg.origin_cutoff, 10.0 / x))
+        out = integrate_semiinfinite_from_a(outer, a, x, cfg)
 
     f_at = complex(np.asarray(f(np.array([x])), dtype=np.complex128)[0])
     recon = complex(out.value)

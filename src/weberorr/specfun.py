@@ -446,12 +446,13 @@ def bessel_jy(nu: float, x):
 # Gauss 2F1
 # ----------------------------------------------------------------------
 
-def hyp2f1_series(a, b, c, z, max_terms: int = _HYP_MAX_TERMS):
+def hyp2f1_series(a, b, c, z):
     """Raw ascending 2F1 series with term-ratio stopping.
 
     a, b, c complex scalars or arrays broadcastable against z; |z| must stay
     well inside the unit disc or ConvergenceError is raised on budget blowout.
-    Vector form is the workhorse of the closed-form transform evaluation.
+    The direct-series kernel of hyp2f1_real_z, summed term by term; the
+    closed form's matrix path sums through _hyp2f1_rows_times_vandermonde.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -461,7 +462,7 @@ def hyp2f1_series(a, b, c, z, max_terms: int = _HYP_MAX_TERMS):
     term = np.ones(shape, dtype=np.complex128)
     acc = term.copy()
     small_runs = 0
-    for k in range(max_terms):
+    for k in range(_HYP_MAX_TERMS):
         term = term * ((a + k) * (b + k)) / ((c + k) * (k + 1.0)) * z
         acc = acc + term
         if np.all(np.abs(term) <= 5e-17 * (np.abs(acc) + 1e-300)):
@@ -473,53 +474,12 @@ def hyp2f1_series(a, b, c, z, max_terms: int = _HYP_MAX_TERMS):
     raise ConvergenceError("hyp2f1_series: no convergence within term budget")
 
 
-def _hyp2f1_transformed(a: complex, b: complex, c: complex, z):
-    """z -> 1-z linear transformation; needs c-a-b away from the integers."""
-    d = c - a - b
-    coef1 = gamma(c) * gamma(d) * rgamma(c - a) * rgamma(c - b)
-    coef2 = gamma(c) * gamma(-d) * rgamma(a) * rgamma(b)
-    one_minus = (1.0 - np.asarray(z, dtype=np.float64)).astype(np.complex128)
-    f1 = hyp2f1_series(a, b, a + b - c + 1.0, one_minus)
-    f2 = hyp2f1_series(c - a, c - b, c - a - b + 1.0, one_minus)
-    return coef1 * f1 + coef2 * np.exp(d * np.log(one_minus)) * f2
+def _hyp2f1_series_row(a, b, c, z):
+    """hyp2f1_series on one parameter row, as a (1, n) matrix."""
+    return hyp2f1_series(a[0], b[0], c[0], z)[None, :]
 
 
-def hyp2f1_real_z(a, b, c, z):
-    """2F1(a,b;c;z) for complex scalar parameters and real z array in [0, 1).
-
-    Direct series for z <= 0.75; the 1-z connection formula above (controls
-    the z -> 1 cancellation).  Falls back to the raw series up to z <= 0.95
-    when c-a-b sits within 1e-3 of an integer (connection coefficients blow
-    up there); beyond that it raises.
-    """
-    a, b, c = complex(a), complex(b), complex(c)
-    z = np.asarray(z, dtype=np.float64)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    if np.any(z < 0.0) or np.any(z >= 1.0):
-        raise DomainError("hyp2f1: z must lie in [0, 1)")
-    if _near_nonpositive_integer(c, 1e-12):
-        raise PoleProximityError(f"hyp2f1: c = {c} is within 1e-12 of a pole")
-    out = np.empty(z.shape, dtype=np.complex128)
-    lo = z <= 0.75
-    if lo.any():
-        out[lo] = hyp2f1_series(a, b, c, z[lo].astype(np.complex128))
-    hi = ~lo
-    if hi.any():
-        d = c - a - b
-        if abs(d - round(d.real)) < 1e-3:
-            if np.all(z[hi] <= 0.95):
-                out[hi] = hyp2f1_series(a, b, c, z[hi].astype(np.complex128))
-            else:
-                raise ConvergenceError(
-                    "hyp2f1: z > 0.95 with c-a-b within 1e-3 of an integer "
-                    "is not supported")
-        else:
-            out[hi] = _hyp2f1_transformed(a, b, c, z[hi])
-    return complex(out[0]) if scalar else out
-
-
-def _hyp2f1_rows_times_vandermonde(a, b, c, z, max_terms: int = _HYP_MAX_TERMS):
+def _hyp2f1_rows_times_vandermonde(a, b, c, z):
     """Separable series: term_k(i, j) = R_k(i) z_j^k, so the 2F1 matrix is
     (coefficient rows) @ (Vandermonde of z) - one BLAS pass instead of a
     per-term broadcast loop.  Truncation is controlled at the largest z.
@@ -531,7 +491,7 @@ def _hyp2f1_rows_times_vandermonde(a, b, c, z, max_terms: int = _HYP_MAX_TERMS):
     probe_sum = coeff.copy()
     zpow = 1.0
     small_runs = 0
-    for k in range(max_terms):
+    for k in range(_HYP_MAX_TERMS):
         coeff = coeff * ((a + k) * (b + k)) / ((c + k) * (k + 1.0))
         rows.append(coeff)
         zpow *= zmax
@@ -550,17 +510,15 @@ def _hyp2f1_rows_times_vandermonde(a, b, c, z, max_terms: int = _HYP_MAX_TERMS):
     return rmat.real @ vand + 1j * (rmat.imag @ vand)
 
 
-def hyp2f1_matrix(a, b, c, z) -> np.ndarray:
-    """2F1 on the outer product of parameter rows and abscissa columns.
-
-    a, b, c: complex arrays of shape (m,) (one parameter triple per row);
-    z: real array of shape (n,) in [0, 1).  Returns (m, n).  Same routing
-    as hyp2f1_real_z, with the connection coefficients vectorized per row.
-    The contour solver's hot path.
+def _hyp2f1_routed(series, a, b, c, z) -> np.ndarray:
+    """2F1 on parameter rows a, b, c (complex, shape (m,)) x real z (n,),
+    returning (m, n); `series(a, b, c, z)` sums the direct series on that
+    layout.  Direct series for z <= 0.75; the 1-z connection formula (DLMF
+    15.8.4) above, which controls the z -> 1 cancellation.  When some row's
+    c-a-b sits within 1e-3 of an integer (the connection coefficients blow
+    up there) the direct series serves up to z <= 0.95; beyond, it raises.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=np.complex128))
-    b = np.atleast_1d(np.asarray(b, dtype=np.complex128))
-    c = np.atleast_1d(np.asarray(c, dtype=np.complex128))
+    a, b, c = (np.atleast_1d(np.asarray(p, dtype=np.complex128)) for p in (a, b, c))
     z = np.atleast_1d(np.asarray(z, dtype=np.float64))
     if np.any(z < 0.0) or np.any(z >= 1.0):
         raise DomainError("hyp2f1: z must lie in [0, 1)")
@@ -569,14 +527,14 @@ def hyp2f1_matrix(a, b, c, z) -> np.ndarray:
     out = np.empty((len(a), len(z)), dtype=np.complex128)
     lo = z <= 0.75
     if lo.any():
-        out[:, lo] = _hyp2f1_rows_times_vandermonde(a, b, c, z[lo])
+        out[:, lo] = series(a, b, c, z[lo])
     hi = ~lo
     if hi.any():
         d = c - a - b
         dist = np.abs(d - np.round(d.real))
         if np.any(dist < 1e-3):
             if np.all(z[hi] <= 0.95):
-                out[:, hi] = _hyp2f1_rows_times_vandermonde(a, b, c, z[hi])
+                out[:, hi] = series(a, b, c, z[hi])
                 return out
             raise ConvergenceError(
                 "hyp2f1: z > 0.95 with c-a-b within 1e-3 of an integer "
@@ -586,11 +544,32 @@ def hyp2f1_matrix(a, b, c, z) -> np.ndarray:
                  * rgamma_array(c - a) * rgamma_array(c - b))
         coef2 = (gamma_array(c) * gamma_array(-d)
                  * rgamma_array(a) * rgamma_array(b))
-        f1 = _hyp2f1_rows_times_vandermonde(a, b, a + b - c + 1.0, om)
-        f2 = _hyp2f1_rows_times_vandermonde(c - a, c - b, c - a - b + 1.0, om)
+        f1 = series(a, b, a + b - c + 1.0, om)
+        f2 = series(c - a, c - b, c - a - b + 1.0, om)
         out[:, hi] = coef1[:, None] * f1 \
             + coef2[:, None] * np.exp(np.outer(d, np.log(om))) * f2
     return out
+
+
+def hyp2f1_real_z(a, b, c, z):
+    """2F1(a,b;c;z) for complex scalar parameters and real z array in [0, 1).
+
+    The routing of hyp2f1_matrix on one row, summed term by term by
+    hyp2f1_series: an independent reference for the matrix form's sums.
+    """
+    out = _hyp2f1_routed(_hyp2f1_series_row, a, b, c, z)[0]
+    return complex(out[0]) if np.ndim(z) == 0 else out
+
+
+def hyp2f1_matrix(a, b, c, z) -> np.ndarray:
+    """2F1 on the outer product of parameter rows and abscissa columns.
+
+    a, b, c: complex arrays of shape (m,) (one parameter triple per row);
+    z: real array of shape (n,) in [0, 1).  Returns (m, n).  The routing of
+    _hyp2f1_routed, summed by _hyp2f1_rows_times_vandermonde.  The contour
+    solver's hot path.
+    """
+    return _hyp2f1_routed(_hyp2f1_rows_times_vandermonde, a, b, c, z)
 
 
 def gauss_2f1(a, b, c, z) -> complex:

@@ -134,6 +134,22 @@ class TestCommands:
                        "--output", str(tmp_path / "nodir" / "x.csv")])
         assert out.returncode == EXIT_IO
 
+    def test_forward_reports_contour_error(self):
+        # the rows carry the contour's own error estimate and flag: a
+        # contour cut at |Im s| = 6 leaves a tail above the tolerance
+        base = ["forward", "--family", "p=2,q=1", "--nu", "-0.75", "--a", "1",
+                "--grid", "1.5,2,4"]
+        ok = run_cli(base)
+        assert ok.returncode == EXIT_OK, ok.stdout + ok.stderr
+        for line in ok.stdout.strip().split("\n")[1:]:
+            cells = line.split(",")
+            assert 0.0 < float(cells[5]) <= 1e-9 and cells[6] == "1"
+        cut = run_cli(base + ["--contour-tmax", "6"])
+        assert cut.returncode == EXIT_NONCONVERGED
+        for line in cut.stdout.strip().split("\n")[1:]:
+            cells = line.split(",")
+            assert float(cells[5]) > 1e-9 and cells[6] == "0"
+
     def test_roundtrip_cli(self):
         out = run_cli(["roundtrip", "--family", "p=2,q=1", "--nu", "-0.75",
                        "--a", "1", "--grid", "0.5,1,2"])

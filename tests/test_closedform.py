@@ -167,6 +167,33 @@ class TestHypEstimates:
             assert hyp_estimate_check(P75, 50.0, s, which, c_cal)
             assert hyp_estimate_check(P75, 200.0, s, which, c_cal)
 
+    def test_envelope_matches_spelled_out_forms(self):
+        # the Euler-integral envelope against its three spelled-out forms
+        def spelled_out(p, x, s, which):
+            nu, mu = p.nu, s.real
+            d2 = x * x - p.a * p.a
+            if which == 1:
+                gam = abs(sf.gamma(2 + nu) * sf.rgamma(1 + nu - s / 2)
+                          * sf.rgamma(1 + s / 2))
+                return x ** (2.0 - mu) * d2 ** (0.5 * mu - 1.0) * gam
+            if which == 2:
+                gam = abs(sf.gamma(-nu) * sf.rgamma(-s / 2)
+                          * sf.rgamma(-nu + s / 2))
+                return x ** (-2.0 * nu - mu) * d2 ** (nu + 0.5 * mu) * gam
+            gam = abs(sf.gamma(2 + nu) * sf.rgamma(1 - s / 2)
+                      * sf.rgamma(1 + nu + s / 2))
+            return x ** (2.0 * (1.0 + nu) - mu) * d2 ** (0.5 * mu - 1.0 - nu) * gam
+
+        for p in (P75, KernelParams(-0.95, 0.5), KernelParams(-0.55, 2.0)):
+            for fx in (1.001, 1.01, 1.3, 4.0, 50.0):
+                for s in (complex(-0.5, 0.0), complex(-0.9, 2.5),
+                          complex(-0.15, -7.0), complex(-0.6, 0.3)):
+                    for which in (1, 2, 3):
+                        x = p.a * fx
+                        got = hyp_estimate_envelope(p, x, s, which)
+                        want = spelled_out(p, x, s, which)
+                        assert rel_err(got, want) <= 1e-11, (p, fx, s, which)
+
     def test_envelope_blowup_exponent(self):
         # log-log slope of the envelope in (x^2 - a^2) as x -> a+, at fixed
         # x-power factor: which=1 must fit Re s/2 - 1 within +-0.05

@@ -218,3 +218,16 @@ class TestHyp2F1:
         import mpmath as mp
         ref = complex(mp.hyp2f1(0.5, 0.5, 2.0, 0.9))
         assert rel_err(got, ref) <= 1e-10
+
+    def test_matrix_matches_scalar_on_near_integer_fallback(self):
+        # c-a-b within 1e-3 of an integer and z in (0.75, 0.95]: both forms
+        # take the direct series past 0.75, the matrix form for every row
+        # once any row is near-integer (the last one is not)
+        a = np.array([0.5, 0.3 + 0.7j, -0.4 + 1.2j, 1.1 - 0.5j, 0.2 + 0.1j])
+        b = np.array([0.5, 0.9 - 0.2j, 0.25 + 0.3j, -0.6 + 0.8j, 0.7])
+        c = a + b + np.array([1, 2 + 4e-4, -7e-4 + 2e-4j, -1 + 9e-4j, 0.55 + 0.2j])
+        z = np.array([0.3, 0.76, 0.85, 0.9, 0.95])
+        mat = sf.hyp2f1_matrix(a, b, c, z)
+        for i in range(len(a)):
+            row = sf.hyp2f1_real_z(a[i], b[i], c[i], z)
+            assert np.max(np.abs(mat[i] - row) / np.abs(row)) <= 1e-12, i
