@@ -60,9 +60,10 @@ class RunConfig:
     quick: bool = False
     tol_abs: float = 1e-10
     tol_rel: float = 1e-8
+    # contour fields left at None take default_contour's values
     contour_mu: float | None = None
-    contour_tmax: float = 32.0
-    panels: int = 32
+    contour_tmax: float | None = None
+    panels: int | None = None
     output_format: str = "csv"
     output_path: str | None = None
     seed: int = 1234
@@ -74,10 +75,11 @@ class RunConfig:
         return KernelParams(self.nu, self.a)
 
     def contour(self) -> ContourSpec:
-        mu = self.contour_mu
-        if mu is None:
-            mu = 0.5 * (-1.0 + self.nu)
-        return ContourSpec(mu=mu, t_max=self.contour_tmax, n_panels=self.panels)
+        base = default_contour(self.params())
+        return ContourSpec(
+            mu=base.mu if self.contour_mu is None else self.contour_mu,
+            t_max=base.t_max if self.contour_tmax is None else self.contour_tmax,
+            n_panels=base.n_panels if self.panels is None else self.panels)
 
     def echo(self) -> dict:
         return {

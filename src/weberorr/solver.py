@@ -99,7 +99,7 @@ class SolveResult:
 def default_contour(params: KernelParams) -> ContourSpec:
     """Midpoint of the admissible strip (-1, nu): maximal pole clearance."""
     params.require_solver_order()
-    return ContourSpec(mu=0.5 * (-1.0 + params.nu), t_max=32.0, n_panels=32)
+    return ContourSpec(mu=0.5 * (-1.0 + params.nu), t_max=16.0, n_panels=16)
 
 
 def _require_forward_admissible(rep: MellinRepresentation, params: KernelParams):
@@ -163,8 +163,8 @@ def _make_contour_profile(rep: MellinRepresentation, params: KernelParams,
                           matrix_fn, abs_tol: float, rel_tol: float):
     """Closure evaluating the contour integral of phi * matrix_fn over
     t-batches.  The first call refines through contour_integral and pins the
-    panel refinement it ended on (the integrand's analytic structure does
-    not change between batches); later calls make one pass at that level.
+    trapezoid level it ended on (the integrand's analytic structure does not
+    change between batches); later calls make one pass at that level.
     """
     refine = None
 

@@ -7,7 +7,7 @@ from conftest import rel_err
 from weberorr import specfun as sf
 from weberorr.errors import DivergenceError, DomainError, MembershipError
 from weberorr.mellin import (ContourSpec, MellinRepresentation, class_norm,
-                             mellin_forward, mellin_inverse,
+                             contour_integral, mellin_forward, mellin_inverse,
                              mellin_inverse_profile, parseval_check)
 from weberorr.quadrature import QuadratureConfig
 
@@ -58,6 +58,29 @@ class TestForward:
             return np.where(x > 5.0, np.nan, np.exp(-x))
         with pytest.raises(DomainError):
             mellin_forward(bad, 2.0, CFG)
+
+
+class TestContourRule:
+    def test_nested_rule_evaluates_each_node_once(self):
+        # (1/2 pi i) int G(s) ds on Re s = 1/2 is e^{-1}; each halving of the
+        # step adds only the new odd nodes, and six probes bound the tail
+        spec = ContourSpec(0.5, 24.0, 16)
+        batches = []
+
+        def fn(svals):
+            batches.append(svals.imag.copy())
+            return sf.gamma_array(svals)
+
+        out = contour_integral(fn, spec, 1e-11, 1e-10)
+        assert out.converged
+        assert abs(complex(out.value) - math.exp(-1.0)) <= 1e-11
+        refine = int(out.diagnostic("refine"))
+        nodes = np.concatenate(batches[:-2])
+        assert nodes.size == 4 * spec.n_panels * refine + 1
+        assert np.unique(nodes).size == nodes.size
+        step = spec.t_max / (2 * spec.n_panels * refine)
+        assert np.allclose(np.sort(nodes), np.arange(-spec.t_max, spec.t_max + step / 2, step))
+        assert [b.size for b in batches[-2:]] == [3, 3]
 
 
 class TestInverse:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import _frozen
 from conftest import rel_err
 from weberorr import specfun as sf
 from weberorr.errors import DomainError, MembershipError
@@ -12,7 +13,8 @@ from weberorr.mellin import ContourSpec, MellinRepresentation, contour_integral
 from weberorr.quadrature import QuadratureConfig
 from weberorr.solver import (SolveResult, default_contour,
                              expansion_titchmarsh, expansion_weber_orr,
-                             forward_contour, forward_direct, inverse_solve,
+                             forward_contour, forward_contour_profile,
+                             forward_direct, inverse_solve,
                              inverse_solve_derivative_form,
                              make_forward_derivative_function,
                              make_forward_function, reduced_equation_check,
@@ -194,7 +196,7 @@ class TestForwardProfileCost:
         # doubling cap and later calls stay at that level
         import weberorr.solver as solver_mod
         spec = ContourSpec(mu=default_contour(P75).mu, t_max=8.0, n_panels=8)
-        cap = spec.n_panels * 16 * 12  # four doublings of 12-point panels
+        cap = 4 * spec.n_panels * 16 + 1  # trapezoid nodes after four halvings
         rows = []
 
         def counting(params, svals, xs):
@@ -214,6 +216,36 @@ class TestForwardProfileCost:
             f(ts)
             per_call.append(sum(rows))
         assert per_call == [cap] * 3
+
+
+class TestForwardProfileReference:
+    # mpmath contour integrals of the closed form, cross-checked against the
+    # defining integral for x >= 2 a (tools/gen_reference_values.py)
+    @pytest.mark.parametrize("nu", (-0.95, -0.75, -0.55))
+    def test_profile_matches_mpmath(self, nu):
+        rows = [r for r in _frozen.FORWARD_PROFILE_21_A1 if r[0] == nu]
+        assert len(rows) == 5
+        xs = np.array([r[1] for r in rows])
+        want = np.array([r[2] for r in rows])
+        tol = 1e-9 + 1e-8 * np.abs(want)  # the profile's own tolerances
+        params = KernelParams(nu, 1.0)
+        prof = forward_contour_profile(_rep(params), params, xs)
+        assert prof.converged
+        assert np.all(np.abs(prof.value - want) <= tol)
+        f = make_forward_function(_rep(params), params)
+        first = f(xs)
+        later = f(xs[::-1])[::-1]  # one pass at the pinned level
+        assert np.all(np.abs(first - want) <= tol)
+        assert np.all(np.abs(later - want) <= tol)
+
+
+class TestMembershipFlags:
+    def test_forward_path_flags_kept(self):
+        # the (1/2, 1) flags the Gauss-Legendre truncated norm gave on the
+        # cases test_linearity and the cost test run: both members
+        mu = default_contour(P75).mu
+        assert BetaFamily(1, 2.0).representation(default_contour(P75)).is_member()
+        assert FAM21.representation(ContourSpec(mu, 8.0, 8)).is_member()
 
 
 class TestReducedEquation:

@@ -5,7 +5,11 @@ Bessel values in the series region come from a 50-digit ascending-series
 oracle implemented here directly (independent of the library's long-double
 code path); everything is cross-checked against mpmath's own algorithms and
 the run aborts on disagreement.  Large-argument Bessel values use mpmath
-(the ascending series needs thousands of digits there).
+(the ascending series needs thousands of digits there).  Forward-profile
+values are contour integrals of the closed form in mpmath arithmetic
+(tanh-sinh on unit intervals, not the library's trapezoidal rule), checked
+against direct oscillatory quadrature of the defining integral where that
+converges.
 
 Usage: python tools/gen_reference_values.py > tests/_frozen.py
 """
@@ -54,6 +58,49 @@ def checked_jy(nu, x):
 
 def f17(v):
     return mp.nstr(v, 17, strip_zeros=False)
+
+
+def closed_form_F(nu, a, x, s):
+    """F(x, s) of weberorr.closedform: three gamma/2F1 terms, mpmath 2F1."""
+    z = (a / x) ** 2
+    two_ms = mp.power(2, -s)
+    g1 = two_ms * a ** (nu + 1) / mp.pi * mp.cospi(nu) * mp.gamma(-nu - 1) \
+        * mp.gamma(1 + nu - s / 2) * mp.rgamma(s / 2)
+    g2 = -two_ms / (mp.pi * a ** (1 + nu)) * mp.gamma(nu + 1) \
+        * mp.gamma(-s / 2) * mp.rgamma(1 + nu + s / 2)
+    g3 = -two_ms * a ** (nu + 1) / mp.pi * mp.cospi(s / 2) \
+        * mp.gamma(nu + 1 - s / 2) * mp.gamma(1 - s / 2) * mp.rgamma(2 + nu)
+    h13 = mp.hyp2f1(1 - s / 2, 1 + nu - s / 2, 2 + nu, z)
+    h2 = mp.hyp2f1(-nu - s / 2, -s / 2, -nu, z)
+    return (g1 + g3) * x ** (s - nu - 2) * h13 + g2 * x ** (s + nu) * h2
+
+
+def forward_profile_contour(nu, a, x):
+    """f(x) for the beta family (p, q) = (2, 1): (1/2 pi) int over t of
+    G(s+2) G(1-s) F(x, s), s = mu + i t on the default mu = (nu - 1)/2.
+    The symbol decays like e^{-pi |t|}, so |t| <= 40 leaves < 1e-25."""
+    mu = (nu - 1) / 2
+
+    def integrand(t):
+        s = mp.mpc(mu, t)
+        return mp.gamma(s + 2) * mp.gamma(1 - s) * closed_form_F(nu, a, x, s)
+
+    # unit intervals resolve the (1 - a^2/x^2)^s oscillation near x = a
+    val, err = mp.quad(integrand, [mp.mpf(k) for k in range(-40, 41)], error=True)
+    assert err <= abs(val) * mp.mpf(10) ** -18, (nu, x, err)
+    assert abs(mp.im(val)) <= abs(val) * mp.mpf(10) ** -18, (nu, x, val)
+    return mp.re(val) / (2 * mp.pi)
+
+
+def forward_profile_direct(nu, a, x):
+    """The defining integral int_0^inf phi(lam) kernel d lam, phi = 2 lam^2
+    (1 + lam)^-3, summed over periods of the difference frequency x - a."""
+    def integrand(lam):
+        return 2 * lam ** 2 / (1 + lam) ** 3 * (
+            mp.besselj(nu, x * lam) * mp.bessely(nu + 1, a * lam)
+            - mp.bessely(nu, x * lam) * mp.besselj(nu + 1, a * lam))
+
+    return mp.quadosc(integrand, [0, mp.inf], omega=x - a)
 
 
 def main():
@@ -138,6 +185,21 @@ def main():
     out.append(f"TAIL_T32_COS_FROM_1 = {f17(fres)}")
     # Fresnel: int_0^inf t^{-1/2} cos t dt = sqrt(pi/2)
     out.append(f"FRESNEL_COS_HALF = {f17(mp.sqrt(mp.pi / 2))}")
+    out.append("")
+
+    # forward profile of the beta family (2, 1) at a = 1: (nu, x, f(x)),
+    # x/a - 1 from 1e-6 to 10; 20 digits carry the 17 printed ones
+    out.append("FORWARD_PROFILE_21_A1 = [")
+    with mp.workdps(20):
+        a = mp.mpf(1)
+        for nu in (-0.95, -0.75, -0.55):
+            for x in (1.000001, 1.001, 1.1, 2.0, 11.0):
+                f = forward_profile_contour(mp.mpf(nu), a, mp.mpf(x))
+                if x >= 2.0:
+                    direct = forward_profile_direct(mp.mpf(nu), a, mp.mpf(x))
+                    assert abs(f - direct) <= abs(f) * mp.mpf(10) ** -14, (nu, x)
+                out.append(f"    ({nu!r}, {x!r}, {f17(f)}),")
+    out.append("]")
     out.append("")
 
     print("\n".join(out))
