@@ -164,19 +164,25 @@ def _make_contour_profile(rep: MellinRepresentation, params: KernelParams,
     """Closure evaluating the contour integral of phi * matrix_fn over
     t-batches.  The first call refines through contour_integral and pins the
     trapezoid level it ended on (the integrand's analytic structure does not
-    change between batches); later calls make one pass at that level.
+    change between batches); later calls make one pass at that level.  The
+    closure's `report` holds the first call's error estimate and converged
+    flag once it is made.
     """
     refine = None
 
     def profile(ts):
         nonlocal refine
         fn = _forward_integrand(rep, params, matrix_fn, ts)
-        if refine is None:
-            out = contour_integral(fn, rep.contour, abs_tol, rel_tol)
-            refine = int(out.diagnostic("refine"))
-            return out.value
-        return _contour_sum(fn, rep.contour, refine)
+        if refine is not None:
+            return _contour_sum(fn, rep.contour, refine)
+        out = contour_integral(fn, rep.contour, abs_tol, rel_tol)
+        refine = int(out.diagnostic("refine"))
+        # filled in place, so wrappers that copied the attribute see it
+        vars(profile.report).update(abs_error_estimate=out.abs_error_estimate,
+                                    converged=out.converged, diagnostics=out.diagnostics)
+        return out.value
 
+    profile.report = EvaluationReport(0.0, 0.0, True)
     return profile
 
 
@@ -196,9 +202,10 @@ def make_forward_derivative_function(rep: MellinRepresentation, params: KernelPa
 
 def _closed_form_inverse(integrand, params: KernelParams, lam: float,
                          cfg: QuadratureConfig | None,
-                         numerator: float) -> EvaluationReport:
+                         numerator: float, profiles: tuple) -> EvaluationReport:
     """Scaffold of both inverse forms: numerator / (J^2 + Y^2 at a lam)
-    times int_a^inf integrand(t, lam) dt."""
+    times int_a^inf integrand(t, lam) dt.  converged is also False when the
+    first call of a forward function in `profiles` (its `report`) was."""
     params.require_solver_order()
     cfg = cfg or QuadratureConfig()
     lam = float(lam)
@@ -213,10 +220,12 @@ def _closed_form_inverse(integrand, params: KernelParams, lam: float,
     inner = integrate_semiinfinite_from_a(
         lambda ts: integrand(np.asarray(ts, dtype=np.float64), lam),
         params.a, lam, cfg)
+    settled = all(getattr(getattr(p, "report", None), "converged", True)
+                  for p in profiles)
     scale = numerator / denom
     rep = EvaluationReport(scale * inner.value,
                            abs(scale) * inner.abs_error_estimate,
-                           inner.converged, list(inner.diagnostics))
+                           inner.converged and settled, list(inner.diagnostics))
     rep.add_diagnostic("denominator", denom)
     return rep
 
@@ -229,7 +238,7 @@ def inverse_solve(f, params: KernelParams, lam: float,
         return ts * np.asarray(f(ts), dtype=np.complex128) \
             * weber_kernel(params, ts, lam)
 
-    return _closed_form_inverse(integrand, params, lam, cfg, float(lam))
+    return _closed_form_inverse(integrand, params, lam, cfg, float(lam), (f,))
 
 
 def inverse_solve_derivative_form(f, f_prime, params: KernelParams, lam: float,
@@ -243,7 +252,7 @@ def inverse_solve_derivative_form(f, f_prime, params: KernelParams, lam: float,
             - params.nu * np.asarray(f(ts), dtype=np.complex128)
         return kernel_C(params.nu + 1.0, lam * ts, lam * params.a) * dcomb
 
-    return _closed_form_inverse(integrand, params, lam, cfg, -1.0)
+    return _closed_form_inverse(integrand, params, lam, cfg, -1.0, (f, f_prime))
 
 
 def solve_grid(f, params: KernelParams, lambdas,

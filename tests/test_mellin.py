@@ -198,6 +198,20 @@ class TestClassNorm:
         out = class_norm(rep)
         assert not out.converged
 
+    def test_unresolved_symbol_flagged(self):
+        # a pole on the contour: |phi| ~ 1/|t - 1/3| is not integrable, the
+        # adaptive panels cannot settle the truncated norm although the tail
+        # strips shrink like a member's
+        spec = ContourSpec(-0.875, 16.0, 16)
+        s0 = spec.mu + 1j / 3.0
+        phi = lambda s: beta_pair_symbol(2, 1)(s) / (np.asarray(s) - s0)
+        out = class_norm(MellinRepresentation(phi, spec, 0.5, 1.0))
+        assert not out.converged
+        assert out.diagnostic("settled") == 0.0
+        assert out.diagnostic("tail_shrink") >= 1e3
+        ok = class_norm(MellinRepresentation(beta_pair_symbol(2, 1), spec, 0.5, 1.0))
+        assert ok.converged and ok.diagnostic("settled") == 1.0
+
     def test_inclusion_ordering(self):
         # membership with weights (1/2, 1) implies membership with (0, 0)
         spec = ContourSpec(-0.875, 30.0, 32)

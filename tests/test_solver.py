@@ -218,6 +218,32 @@ class TestForwardProfileCost:
         assert per_call == [cap] * 3
 
 
+class TestForwardProfileReport:
+    def test_unsettled_first_call_is_reported(self):
+        # family (1, 2) at nu = -0.95: the symbol's pole at s = -1 lies 0.025
+        # from the default contour; the flag passes, the contour rule cannot
+        # resolve the pole, and the round trip is off by about 4e-3
+        params = KernelParams(-0.95, 1.0)
+        rep = BetaFamily(1, 2.0).representation(default_contour(params))
+        assert rep.is_member()
+        assert not forward_contour_profile(rep, params, [1.001, 2.0]).converged
+        f = make_forward_function(rep, params)
+        assert f.report.converged  # no call made yet
+        res = solve_grid(f, params, [0.5, 2.0])
+        assert not f.report.converged
+        assert f.report.abs_error_estimate > 1e-6
+        assert res.converged is False
+        settled = make_forward_function(_rep(params), params)
+        fp = make_forward_derivative_function(rep, params)
+        assert not inverse_solve_derivative_form(settled, fp, params, 1.0).converged
+        assert settled.report.converged
+
+    def test_settled_first_call_is_kept(self, f75):
+        f75(np.array([2.0]))
+        assert f75.report.converged
+        assert f75.report.diagnostic("refine") >= 1
+
+
 class TestForwardProfileReference:
     # mpmath contour integrals of the closed form, cross-checked against the
     # defining integral for x >= 2 a (tools/gen_reference_values.py)
