@@ -2,12 +2,12 @@
 Parseval pairing, and weighted-norm membership flagging for the solvability
 classes (exponential weight e^{pi c1 |s|}, power weight |s|^{c2}).
 
-Contour integrals run on a truncated vertical line Re s = mu with a nested
-trapezoidal rule: on integrands analytic in a strip around the line it
-converges like exp(-2 pi d / h), and each halving of the step h reuses every
-node.  The step halves until two levels agree, and the discarded tail is
-bounded by a measured geometric decay fit.  class_norm integrates its
-non-analytic weight on adaptive Gauss-Legendre panels instead.
+Both transforms are nested trapezoidal rules (error ~ exp(-2 pi d / h) on
+integrands analytic in a strip of half-width d; each halving of h reuses every
+node), with decay fits bounding the discarded tails: contour integrals on the
+truncated line Re s = mu, the forward transform on the log axis u = ln x for a
+batch of s at once (Parseval takes one batch per contour level).  class_norm
+integrates its non-analytic weight on adaptive Gauss-Legendre panels instead.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ from .quadrature import QuadratureConfig, _adaptive_finite
 from .report import EvaluationReport
 
 _MEMBERSHIP_SHRINK = 10.0  # tail-mass drop a member shows when t_max doubles
+_LOG_HALVINGS = 6  # at most this many halvings of the log-axis step
+_LOG_CUT = 1e-17  # a window probe this far below the peak ends the log axis
+_CHUNK_CELLS = 1 << 18  # cells of one exp(outer(s, u)) block
 
 
 @dataclass(frozen=True)
@@ -152,65 +155,94 @@ def contour_integral(fn, spec: ContourSpec, abs_tol: float = 1e-10,
     return rep
 
 
-def _exp_window_integral(g, im_freq: float, cfg: QuadratureConfig):
-    """Integral of g over (-inf, inf) via doubling windows around 0.
+def _log_axis_transform(f, svals, cfg: QuadratureConfig):
+    """(values, errors, converged) of the integral of f(e^u) e^{su} du for every
+    s in svals: trapezoidal nodes u = k h, h = 0.25 2^-j (exact in binary),
+    each halving calling f once on its new nodes.  Error = halving increment
+    + tail fit at the cuts + rounding."""
+    s, h = np.atleast_1d(np.asarray(svals, dtype=np.complex128)), 0.25
 
-    g lives on the log axis; admissible integrands decay exponentially on
-    both sides.  Growth over three consecutive windows raises DivergenceError.
-    """
-    def window(al, bl):
-        n0 = int(np.clip(math.ceil((bl - al) * max(abs(im_freq), 1.0) / 2.0), 8, 1024))
-        val, err, conv, _ = _adaptive_finite(
-            g, al, bl, cfg.abs_tol * 0.25, cfg.rel_tol, np.linspace(al, bl, n0 + 1))
-        return val, err, conv
+    def probe(u):
+        fv = np.broadcast_to(np.asarray(f(np.exp(u)), dtype=np.complex128), u.shape)
+        if not np.all(np.isfinite(fv)):
+            raise DomainError("mellin_forward: integrand returned a non-finite value")
+        return u, fv, np.abs(fv) * np.exp(u * np.where(u > 0.0, s.real.max(), s.real.min()))
 
-    value, err, conv = window(-2.0, 2.0)
-    for direction in (+1.0, -1.0):
-        edge = 2.0
-        prev_mag = math.inf
-        growth = 0
-        for _ in range(12):
-            lo, hi = (edge, 2 * edge) if direction > 0 else (-2 * edge, -edge)
-            seg, seg_err, seg_conv = window(lo, hi)
-            value += seg
-            err += seg_err
-            conv &= seg_conv
-            mag = abs(seg)
-            tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
-            if mag <= 0.1 * tol:
-                # below tolerance: done even if the window magnitudes sit on
-                # a noise floor (round-tripped integrands amplify input noise
-                # like x^{-mu} far out on the axis)
-                break
-            if mag >= prev_mag and mag > tol:
-                growth += 1
-                if growth >= 3:
-                    raise DivergenceError(
-                        "mellin_forward: integrand not decaying on the log axis")
-            else:
-                growth = 0
-            prev_mag = mag
-            edge *= 2
-        else:
-            conv = False
-    return value, err, conv
+    def tsum(rows, u, fv):
+        out = np.zeros(rows.size, dtype=np.complex128)
+        step = max(1, _CHUNK_CELLS // rows.size)
+        for i in range(0, u.size, step):
+            out += np.exp(np.outer(rows, u[i:i + step])) @ fv[i:i + step]
+        return h * out
+
+    def tail(pair, width):
+        # exponential fit through the maxima of two windows `width` apart,
+        # integrated from half a step inside the second one
+        if not pair[1] < pair[0]:
+            return pair[1] * width
+        return pair[1] * (width / math.log(pair[0] / max(pair[1], 1e-300)) + h)
+
+    def walk(sign):
+        """Windows (edge, 2 edge] out to |u| = 512, where e^u is still positive
+        and finite.  The first one under _LOG_CUT times the peak, or one under
+        tol / 10 that the next exceeds (a noise floor, or f overflowing), ends
+        the axis; three growing ones above tol diverge.  Returns (kept windows,
+        tail bound, whether they reached 512)."""
+        nonlocal peak
+        wins, mags, growth, tol = [], [float(central[2].max())], 0, 0.0
+        for edge in 2.0 ** np.arange(1, 9):
+            try:
+                wins.append(probe(sign * h * np.arange(edge / h + 1, 2 * edge / h + 1)))
+            except DomainError:
+                if not wins or mags[-1] > 0.1 * tol:  # f may overflow past a window under tol / 10
+                    raise
+                return wins[:-1], tail(mags[-2:], edge / 4), False
+            mags.append(float(wins[-1][2].max()))
+            last, mag = mags[-2:]
+            peak = max(peak, mag)
+            tol = max(cfg.abs_tol, cfg.rel_tol * peak)
+            if mag <= _LOG_CUT * peak:
+                return wins[:-1], tail(mags[-2:], edge / 2), False
+            if len(wins) > 1 and last < mag and last <= 0.1 * tol:
+                return wins[:-2], tail(mags[-3:-1], edge / 4), False
+            growth = growth + 1 if mag >= last and mag > tol else 0
+            if growth >= 3:
+                raise DivergenceError("mellin_forward: integrand not decaying on the log axis")
+        return wins, tail(mags[-2:], 128.0), True
+
+    central = probe(h * np.arange(-8, 9))
+    peak = float(central[2].max())
+    right, tail_hi, capped_hi = walk(1.0)
+    left, tail_lo, capped_lo = walk(-1.0)
+    u, fv, env = (np.concatenate(p) for p in zip(central, *right, *left))
+    # nodes a step beyond the outermost ones above the cut join the truncation bound
+    lo, hi = np.clip(np.sort(u[env >= _LOG_CUT * peak])[[0, -1]] + [-h, h], u.min(), u.max())
+    inside = (u >= lo) & (u <= hi)
+    trunc = tail_hi + tail_lo + h * float(env[~inside].sum())
+    u, fv, env = u[inside], fv[inside], env[inside]
+    value = tsum(s, u, fv)
+    # rounding: ~eps per term, plus the phase error eps |s u| of exp(s u)
+    rounding = np.finfo(float).eps * h * (8.0 * env.sum() + np.abs(s) * (env * np.abs(u)).sum())
+    inc, active = np.full(s.size, np.inf), np.ones(s.size, dtype=bool)
+    for _ in range(_LOG_HALVINGS):
+        h /= 2
+        u = h * np.arange(lo / h + 1, hi / h, 2)
+        new = 0.5 * value[active] + tsum(s[active], u, probe(u)[1])
+        inc[active], value[active] = np.abs(new - value[active]), new
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
+        # a row stops once the halving settled it and its step resolves
+        # e^{i Im(s) u}; before that, aliases of the two levels can coincide
+        active = (inc > 0.25 * tol) | (h * np.abs(s.imag) > 0.5 * math.pi)
+        if not active.any():
+            break
+    err = inc + trunc + rounding
+    return value, err, (err <= tol) & ~active & (not (capped_hi or capped_lo))
 
 
 def mellin_forward(f, s, cfg: QuadratureConfig | None = None) -> EvaluationReport:
-    """Forward transform: integral of f(x) x^{s-1} over (0, inf).
-
-    Computed on the log axis u = ln x where admissible integrands decay
-    exponentially both ways; divergence is detected numerically.
-    """
-    cfg = cfg or QuadratureConfig()
-    s = complex(s)
-
-    def g(u):
-        u = np.asarray(u, dtype=np.float64)
-        return np.asarray(f(np.exp(u)), dtype=np.complex128) * np.exp(s * u)
-
-    value, err, conv = _exp_window_integral(g, s.imag, cfg)
-    return EvaluationReport(value, err, conv)
+    """Forward transform, integral of f(x) x^{s-1} over (0, inf): one row of the log-axis rule."""
+    value, err, conv = _log_axis_transform(f, [complex(s)], cfg or QuadratureConfig())
+    return EvaluationReport(complex(value[0]), float(err[0]), bool(conv[0]))
 
 
 def mellin_inverse_profile(rep: MellinRepresentation, xs,
@@ -245,12 +277,7 @@ def parseval_check(f, g, mu: float, cfg: QuadratureConfig | None = None,
     lhs = mellin_forward(lambda x: np.asarray(f(x)) * np.asarray(g(x)), 1.0, cfg)
 
     def fn(svals):
-        out = np.empty(svals.shape, dtype=np.complex128)
-        for i, sv in enumerate(svals):
-            fa = mellin_forward(f, sv, cfg)
-            gb = mellin_forward(g, 1.0 - sv, cfg)
-            out[i] = fa.value * gb.value
-        return out
+        return _log_axis_transform(f, svals, cfg)[0] * _log_axis_transform(g, 1.0 - svals, cfg)[0]
 
     spec = ContourSpec(mu=mu, t_max=t_max, n_panels=n_panels)
     rhs = contour_integral(fn, spec, cfg.abs_tol, cfg.rel_tol)

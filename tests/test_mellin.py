@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from conftest import rel_err
+from weberorr import mellin
 from weberorr import specfun as sf
 from weberorr.errors import DivergenceError, DomainError, MembershipError
 from weberorr.mellin import (ContourSpec, MellinRepresentation, class_norm,
@@ -51,6 +54,83 @@ class TestForward:
     def test_divergence_detected(self):
         with pytest.raises(DivergenceError):
             mellin_forward(lambda x: 1.0 / (1.0 + x), 2.0, CFG)
+
+    def test_anchored_grid_reaches_gamma_to_rounding(self):
+        # the log-axis nodes u = k h are exact in binary, so no rounding of u
+        # enters x = e^u or e^{su}; the sum is then as good as its terms
+        for t in np.linspace(-24.0, 24.0, 49):
+            s = complex(0.5, t)
+            out = mellin_forward(lambda x: np.exp(-x), s, CFG)
+            assert abs(complex(out.value) - complex(mp.gamma(s))) <= 2e-15, t
+
+    @pytest.mark.parametrize("name", ["gamma", "gamma_moment", "beta"])
+    def test_estimate_covers_true_error(self, name):
+        # the stable form of x^2 (1+x)^-3: x^2 overflows where the slowly
+        # decaying Re s = 0.95 windows reach (x ~ 1e154)
+        f, exact, strip_lo = {
+            "gamma": (lambda x: np.exp(-x), mp.gamma, 0.0),
+            "gamma_moment": (lambda x: x * np.exp(-x), lambda s: mp.gamma(s + 1), -1.0),
+            "beta": (lambda x: (x / (1.0 + x)) ** 2 / (1.0 + x),
+                     lambda s: mp.gamma(s + 2) * mp.gamma(1 - s) / 2, -2.0),
+        }[name]
+        t = np.linspace(-24.0, 24.0, 33)
+        for re in (-1.0, 0.2, 0.5, 0.9, 0.95):
+            s = re + 1j * t
+            if re <= strip_lo:
+                with pytest.raises(DivergenceError):
+                    mellin._log_axis_transform(f, s, CFG)
+                continue
+            value, err, conv = mellin._log_axis_transform(f, s, CFG)
+            true = np.abs(value - np.array([complex(exact(z)) for z in s]))
+            assert np.all((err >= true) | ~conv), (re, true, err)
+            if name == "beta" and re == 0.95:
+                # decays like e^{-0.05 u}: the axis reaches its cap unsettled
+                assert not conv.any() and err.max() >= true.max()
+
+    def test_overflow_beyond_the_noise_floor_ends_the_axis(self):
+        # at Re s = 0.8 the naive x^2 (1+x)^-3 decays like e^{-0.2 u} and is
+        # under tol / 10 from u = 128; past u = 355 x^2 overflows.  The axis
+        # ends at 128 and the window maxima's decay fit bounds what is left
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = mellin_forward(lambda x: x ** 2 * (1 + x) ** -3.0, 0.8, CFG)
+            with pytest.raises(DomainError):  # at 0.9 the window before 355 is not
+                mellin_forward(lambda x: x ** 2 * (1 + x) ** -3.0, 0.9, CFG)
+        true = abs(complex(out.value) - complex(mp.gamma(2.8) * mp.gamma(0.2) / 2))
+        assert out.converged and true <= out.abs_error_estimate <= CFG.abs_tol
+
+    def test_step_resolves_the_row_before_it_stops(self):
+        # at Im s = 48 the steps 1/4 and 1/8 alias to the same wrong value
+        # (Gamma(1/2 - 2.3i) ~ 0.07), so their increment alone would stop there
+        s = 0.5 + 1j * np.array([48.0, -48.0, 60.0])
+        value, err, conv = mellin._log_axis_transform(lambda x: np.exp(-x), s, CFG)
+        assert conv.all() and np.abs(value).max() <= 1e-15 and err.max() <= 1e-12
+
+    def test_slow_decay_has_bounded_budget(self):
+        # 1/(1+x) at Re s = 0.99 decays like e^{-0.01 u}: no window reaches
+        # the cut before |u| = 512, so the rule stops there unsettled, without
+        # sampling x = 0 or inf, and the exp(outer(s, u)) blocks stay chunked
+        xs = []
+
+        def f(x):
+            xs.append(x.copy())
+            return 1.0 / (1.0 + x)
+
+        s = 0.99 + 1j * np.linspace(-24.0, 24.0, 200)
+        tracemalloc.start()
+        try:
+            value, err, conv = mellin._log_axis_transform(f, s, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not conv.any()
+        assert np.all(np.isfinite(value)) and np.all(err > CFG.abs_tol)
+        x = np.concatenate(xs)
+        assert np.all(x > 0.0) and np.all(np.isfinite(x))
+        assert np.log(x).max() == 512.0
+        # one block and its outer product, plus the node arrays; unchunked,
+        # the finest level alone would take s.size * x.size / 2 cells
+        bound = 2 * 16 * mellin._CHUNK_CELLS + 64 * x.size
+        assert peak <= bound < 16 * s.size * x.size / 2, (peak, bound)
 
     def test_nan_rejected(self):
         def bad(x):
@@ -154,6 +234,37 @@ class TestInverse:
 
 
 class TestParseval:
+    def test_one_transform_per_contour_batch(self, monkeypatch):
+        # each contour batch is one log-axis transform of f and one of g:
+        # f is called once per window probe and step level, on nodes it has
+        # not seen, never once per contour node
+        transforms = []
+        real = mellin._log_axis_transform
+
+        def counting(f, svals, cfg):
+            xs = []
+
+            def f_counted(x):
+                xs.append(np.array(x))
+                return f(x)
+
+            out = real(f_counted, svals, cfg)
+            transforms.append((np.size(svals), xs))
+            return out
+
+        monkeypatch.setattr(mellin, "_log_axis_transform", counting)
+        out = parseval_check(lambda x: np.exp(-x), lambda x: np.exp(-x), 0.5, CFG)
+        assert out.converged and float(np.real(out.value)) <= 1e-15
+        (lhs_size, _), rest = transforms[0], transforms[1:]
+        sizes = [size for size, _ in rest]
+        assert lhs_size == 1 and sizes[0::2] == sizes[1::2]
+        assert sizes[0] == 4 * 24 + 1 and sizes[-2:] == [3, 3]
+        for _, xs in rest:
+            assert len(xs) <= 1 + 2 * 8 + mellin._LOG_HALVINGS
+            x = np.concatenate(xs)
+            assert np.unique(x).size == x.size
+        assert sum(len(xs) for _, xs in rest) < sum(sizes)
+
     def test_exponential_pair(self):
         out = parseval_check(lambda x: np.exp(-x), lambda x: np.exp(-x), 0.5, CFG)
         assert float(np.real(out.value)) <= 1e-7
