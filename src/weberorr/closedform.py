@@ -26,7 +26,7 @@ import numpy as np
 from . import specfun
 from .errors import DomainError, PoleProximityError, StripError
 from .kernels import KernelParams, weber_kernel
-from .quadrature import QuadratureConfig, integrate_improper
+from .quadrature import ORIGIN_CUTOFF, QuadratureConfig, integrate_improper
 from .report import EvaluationReport
 
 _POLE_RADIUS = 0.05  # guard around the s = 0 pole of Gamma(-s/2)
@@ -153,10 +153,8 @@ def F_nu_closed_batch(params: KernelParams, xs, s) -> np.ndarray:
 
 
 def F_nu_closed(params: KernelParams, x: float, s) -> FnuTermBreakdown:
-    """Closed form at a single abscissa, with the three-term breakdown.
-
-    Takes the scalar 2F1 route, the reference the matrix path is tested
-    against."""
+    """Closed form at a single abscissa, with the three-term breakdown
+    (one-row 2F1 calls through hyp2f1_real_z)."""
     svals, xs = _checked(params, s, x)
     s, x, nu = complex(svals[0]), float(xs[0]), params.nu
     z = (params.a / x) ** 2
@@ -185,7 +183,7 @@ def F_nu_oracle(params: KernelParams, x: float, s,
         lam = np.asarray(lam, dtype=np.float64)
         return np.exp(-s * np.log(lam)) * weber_kernel(params, x, lam)
 
-    start = max(cfg.origin_cutoff, 10.0 / min(x, params.a))
+    start = max(ORIGIN_CUTOFF, 10.0 / min(x, params.a))
     return integrate_improper(integrand, 0.0, x - params.a, cfg,
                               asymptotic_start=start)
 

@@ -23,6 +23,7 @@ from .quadrature import QuadratureConfig, _adaptive_finite
 from .report import EvaluationReport
 
 _MEMBERSHIP_SHRINK = 10.0  # tail-mass drop a member shows when t_max doubles
+_CONTOUR_HALVINGS = 4  # at most this many halvings of the contour step
 _LOG_HALVINGS = 6  # at most this many halvings of the log-axis step
 _LOG_CUT = 1e-17  # a window probe this far below the peak ends the log axis
 _CHUNK_CELLS = 1 << 18  # cells of one exp(outer(s, u)) block
@@ -100,7 +101,7 @@ def _contour_sum(fn, spec: ContourSpec, refine: int):
 
 
 def contour_integral(fn, spec: ContourSpec, abs_tol: float = 1e-10,
-                     rel_tol: float = 1e-9, max_doublings: int = 4) -> EvaluationReport:
+                     rel_tol: float = 1e-9) -> EvaluationReport:
     """(1/2 pi i) Integral of fn(s) ds along the truncated contour.
 
     fn maps a complex array of contour points to values of shape (n,) or
@@ -108,14 +109,14 @@ def contour_integral(fn, spec: ContourSpec, abs_tol: float = 1e-10,
     or (m,).  Nested trapezoidal rule: each halving of the step evaluates
     only the new odd nodes, T(h/2) = T(h)/2 + (h/2) sum fn(new).  Error =
     halving increment + measured tail bound.  The step halves at most
-    max_doublings times; the "refine" diagnostic is the resolution the value
-    was taken at, in multiples of the level-0 step t_max / (2 n_panels).
+    _CONTOUR_HALVINGS times; the "refine" diagnostic is the resolution the
+    value was taken at, in multiples of the level-0 step t_max / (2 n_panels).
     """
     mu = spec.mu
     value = _contour_sum(fn, spec, 1)
     inc = math.inf
     refine = 1
-    for _ in range(max_doublings):
+    for _ in range(_CONTOUR_HALVINGS):
         refine *= 2
         t = _contour_nodes(spec, refine)
         vals = np.asarray(fn(mu + 1j * t[1::2]), dtype=np.complex128)

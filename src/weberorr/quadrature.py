@@ -22,6 +22,8 @@ _GL_ORDER = 12
 _ADAPT_ORDER = 15
 _MAX_ADAPT_LEVELS = 18
 _MAX_ADAPT_PANELS = 16384
+# the head/tail split of an improper integral never falls below this abscissa
+ORIGIN_CUTOFF = 1.0
 
 
 @dataclass(frozen=True)
@@ -30,15 +32,12 @@ class QuadratureConfig:
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    origin_cutoff: float = 1.0
     max_half_periods: int = 256
     acceleration_depth: int = 10
 
     def __post_init__(self):
         if not (0.0 < self.abs_tol < 1.0 and 0.0 < self.rel_tol < 1.0):
             raise DomainError("QuadratureConfig: tolerances must lie in (0, 1)")
-        if self.origin_cutoff <= 0.0:
-            raise DomainError("QuadratureConfig: origin_cutoff must be positive")
         if self.max_half_periods < 8:
             raise DomainError("QuadratureConfig: max_half_periods must be >= 8")
         if not (1 <= self.acceleration_depth <= 12):
@@ -276,7 +275,7 @@ def integrate_improper(integrand, lower: float, phase_frequency: float,
 
     h = math.pi / phase_frequency
     start = asymptotic_start if asymptotic_start is not None else \
-        max(cfg.origin_cutoff, lower + 4.0 * h)
+        max(ORIGIN_CUTOFF, lower + 4.0 * h)
     if start <= lower:
         start = lower + 4.0 * h
     head_val, head_err, head_conv = _head_region(
@@ -294,7 +293,7 @@ def integrate_improper(integrand, lower: float, phase_frequency: float,
 
 
 def _integrate_nonoscillatory(integrand, lower: float, cfg: QuadratureConfig) -> EvaluationReport:
-    l0 = max(cfg.origin_cutoff, lower + 1.0)
+    l0 = max(ORIGIN_CUTOFF, lower + 1.0)
     value, err, conv = _head_region(integrand, lower, l0, 0.0, cfg.abs_tol, cfg.rel_tol)
     prev_mag = math.inf
     growth_streak = 0
@@ -352,7 +351,7 @@ def integrate_semiinfinite_from_a(integrand, a: float, phase_frequency: float,
     if not (math.isfinite(a) and a > 0.0):
         raise DomainError("integrate_semiinfinite_from_a: a must be finite and > 0")
     if asymptotic_start is None and phase_frequency > 0.0:
-        asymptotic_start = a + max(cfg.origin_cutoff, 10.0 / phase_frequency)
+        asymptotic_start = a + max(ORIGIN_CUTOFF, 10.0 / phase_frequency)
     return integrate_improper(integrand, a, phase_frequency, cfg, asymptotic_start)
 
 

@@ -26,7 +26,7 @@ from .errors import DomainError, MembershipError, StripError
 from .kernels import KernelParams, kernel_C, weber_kernel
 from .mellin import (ContourSpec, MellinRepresentation, _contour_sum,
                      _phi_values, contour_integral)
-from .quadrature import (QuadratureConfig, integrate_improper,
+from .quadrature import (ORIGIN_CUTOFF, QuadratureConfig, integrate_improper,
                          integrate_semiinfinite_from_a)
 from .report import EvaluationReport
 
@@ -130,7 +130,7 @@ def forward_direct(phi, params: KernelParams, x: float,
         lam = np.asarray(lam, dtype=np.float64)
         return np.asarray(phi(lam), dtype=np.complex128) * weber_kernel(params, x, lam)
 
-    start = max(cfg.origin_cutoff, 10.0 / min(x, params.a))
+    start = max(ORIGIN_CUTOFF, 10.0 / min(x, params.a))
     return integrate_improper(integrand, 0.0, x - params.a, cfg,
                               asymptotic_start=start)
 
@@ -295,7 +295,7 @@ def reduced_equation_check(phi, params: KernelParams, x: float,
         return -lam * np.asarray(phi(lam), dtype=np.complex128) \
             * kernel_C(params.nu + 1.0, x * lam, params.a * lam)
 
-    start = max(cfg.origin_cutoff, 10.0 / min(x, params.a))
+    start = max(ORIGIN_CUTOFF, 10.0 / min(x, params.a))
     lhs = integrate_improper(integrand, 0.0, x - params.a, cfg,
                              asymptotic_start=start)
     rhs = complex(f_derivative_side(x))
@@ -363,7 +363,7 @@ def expansion_titchmarsh(g, params: KernelParams, x: float,
             xi = np.asarray(xi, dtype=np.float64)
             return kernel_C(nu, t * xi, a * xi) * np.asarray(g(xi), dtype=np.complex128)
         return _inner_improper(h, 0.0, t - a, cfg,
-                               start_hint=max(cfg.origin_cutoff, 10.0 / min(t, a)))
+                               start_hint=max(ORIGIN_CUTOFF, 10.0 / min(t, a)))
 
     inner = _memoized_profile(inner_scalar)
 
@@ -419,7 +419,7 @@ def expansion_weber_orr(f, params: KernelParams, x: float, variant: int,
 
         out = integrate_improper(
             outer, 0.0, x - a, cfg,
-            asymptotic_start=max(cfg.origin_cutoff, 10.0 / min(x, a)))
+            asymptotic_start=max(ORIGIN_CUTOFF, 10.0 / min(x, a)))
     else:
         def inner_scalar(t: float) -> complex:
             def h(xi):
@@ -428,7 +428,7 @@ def expansion_weber_orr(f, params: KernelParams, x: float, variant: int,
                 return kernel_C(nu, t * xi, a * xi) / (ja * ja + ya * ya) * xi \
                     * np.asarray(f(xi), dtype=np.complex128)
             return _inner_improper(h, 0.0, t - a, cfg,
-                                   start_hint=max(cfg.origin_cutoff, 10.0 / min(t, a)))
+                                   start_hint=max(ORIGIN_CUTOFF, 10.0 / min(t, a)))
 
         inner = _memoized_profile(inner_scalar)
 

@@ -9,6 +9,7 @@ returned as float64.  All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ SUPPORTED_ORDER_MAX = 50.0
 _SERIES_XMAX = 16.0
 _SERIES_MAX_TERMS = 600
 _HYP_MAX_TERMS = 10_000
+_CF1_MAX_TERMS = 10_000
 _INTEGER_ORDER_TOL = 1e-8
 
 # Lanczos g=607/128, 15 coefficients (Godfrey).  Double-precision optimal:
@@ -199,14 +201,16 @@ def _series_j_ld(order: float, x_ld):
 
 
 def _series_jy_ld(nu: float, x_ld, want_y: bool):
-    jp = _series_j_ld(nu, x_ld)
-    if not want_y:
-        return jp, None
-    if abs(nu - round(nu)) < _INTEGER_ORDER_TOL:
+    if want_y and abs(nu - round(nu)) < _INTEGER_ORDER_TOL:
         raise DomainError(
             "bessel_y: order within 1e-8 of an integer needs a limit "
             f"formulation that is not implemented for x <= {_SERIES_XMAX:g}"
         )
+    if nu < 0 and nu == round(nu):  # J_{-m} = (-1)^m J_m
+        return _LD((-1.0) ** int(-nu)) * _series_j_ld(-nu, x_ld), None
+    jp = _series_j_ld(nu, x_ld)
+    if not want_y:
+        return jp, None
     jm = _series_j_ld(-nu, x_ld)
     # exact-zero trig keeps half-integer orders from huge*tiny contamination
     y = (jp * _LD(_cospi(nu)) - jm) / _LD(_sinpi(nu))
@@ -247,128 +251,57 @@ def _hankel_jy_ld(nu: float, x_ld):
     return j_val, y_val
 
 
-def _jy_cf_scalar(nu: float, x: float):
-    """J_nu, Y_nu for nu >= 0 in the band 16 < x < 0.85 nu^2.
+def _cf1_ld(nu: float, x_ld):
+    """CF1 ratio J_nu'/J_nu (modified Lentz) for nu > 0, long-double array x.
 
-    Classic continued-fraction scheme: CF1 gives J_nu'/J_nu, CF2 at the
-    shifted order mu in (-0.5, x-ish] gives (J'+iY')/(J+iY); the Wronskian
-    J Y' - J' Y = 2/(pi x) then pins the magnitudes, Y recursed upward and
-    J rescaled along the downward ratio chain.  Long-double arithmetic.
+    Every point runs the scalar recurrence; a point's ratio freezes once its
+    step factor is within eps of 1.  About x + nu steps.
     """
-    one = _LD(1.0)
-    eps = float(np.finfo(_LD).eps)
-    fpmin = _LD("1e-4000")  # float literal would underflow to 0 before the cast
-    xl = _LD(x)
-    nl = max(0, int(nu - x + 1.5))
-    mu = _LD(nu) - nl
-    xi = one / xl
-    xi2 = _LD(2.0) * xi
-    w = xi2 / _PI_LD
-
-    # CF1 (Lentz): h = J_nu'/J_nu with sign of J_nu tracked in isign
-    isign = 1
-    h = _LD(nu) * xi
-    if h < fpmin:
-        h = fpmin
+    eps = np.finfo(_LD).eps
+    tiny = _LD("1e-4000")  # float literal would underflow to 0 before the cast
+    xi2 = _LD(2.0) / x_ld
+    h = _LD(nu) / x_ld
     b = xi2 * _LD(nu)
-    d = _LD(0.0)
     c = h
-    for _ in range(100_000):
-        b += xi2
+    d = np.zeros_like(x_ld)
+    active = np.ones(x_ld.shape, dtype=bool)
+    for _ in range(_CF1_MAX_TERMS):
+        b = b + xi2
         d = b - d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = b - one / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = one / d
+        d = np.where(np.abs(d) < tiny, tiny, d)
+        c = b - 1.0 / c
+        c = np.where(np.abs(c) < tiny, tiny, c)
+        d = 1.0 / d
         delta = c * d
-        h = delta * h
-        if d < 0.0:
-            isign = -isign
-        if abs(delta - one) <= eps:
-            break
-    else:
-        raise ConvergenceError("bessel: CF1 did not converge")
-
-    # downward recurrence of (J, J') from order nu to mu, unnormalized
-    rjl = _LD(isign) * fpmin
-    rjpl = h * rjl
-    rjl1, rjp1 = rjl, rjpl
-    fact = _LD(nu) * xi
-    for _ in range(nl):
-        rjtemp = fact * rjl + rjpl
-        fact -= xi
-        rjpl = fact * rjtemp - rjl
-        rjl = rjtemp
-    if rjl == 0.0:
-        rjl = _LD(eps)
-    f = rjpl / rjl
-
-    # CF2 (complex Lentz): p + i q = (J_mu' + i Y_mu')/(J_mu + i Y_mu)
-    a = _LD(0.25) - mu * mu
-    p = _LD(-0.5) * xi
-    q = one
-    br = _LD(2.0) * xl
-    bi = _LD(2.0)
-    fact = a * xi / (p * p + q * q)
-    cr = br + q * fact
-    ci = bi + p * fact
-    den = br * br + bi * bi
-    dr = br / den
-    di = -bi / den
-    dlr = cr * dr - ci * di
-    dli = cr * di + ci * dr
-    temp = p * dlr - q * dli
-    q = p * dli + q * dlr
-    p = temp
-    for i in range(2, 100_000):
-        a += _LD(2 * (i - 1))
-        bi += _LD(2.0)
-        dr = a * dr + br
-        di = a * di + bi
-        if abs(dr) + abs(di) < fpmin:
-            dr = fpmin
-        fact = a / (cr * cr + ci * ci)
-        cr = br + cr * fact
-        ci = bi - ci * fact
-        if abs(cr) + abs(ci) < fpmin:
-            cr = fpmin
-        den = dr * dr + di * di
-        dr = dr / den
-        di = -di / den
-        dlr = cr * dr - ci * di
-        dli = cr * di + ci * dr
-        temp = p * dlr - q * dli
-        q = p * dli + q * dlr
-        p = temp
-        if abs(dlr - one) + abs(dli) <= eps:
-            break
-    else:
-        raise ConvergenceError("bessel: CF2 did not converge")
-
-    gam = (p - f) / q
-    rjmu = np.sqrt(w / ((p - f) * gam + q))
-    rjmu = abs(rjmu) if rjl >= 0 else -abs(rjmu)
-    rymu = rjmu * gam
-    rymup = rymu * (p + q / gam)
-    ry1 = mu * xi * rymu - rymup  # Y_{mu+1}
-    for i in range(1, nl + 1):
-        rytemp = (mu + i) * xi2 * ry1 - rymu
-        rymu = ry1
-        ry1 = rytemp
-    j_val = float(rjl1 * (rjmu / rjl))
-    return j_val, float(rymu)
+        h = np.where(active, delta * h, h)
+        active &= np.abs(delta - 1.0) > eps
+        if not active.any():
+            return h
+    raise ConvergenceError("bessel: CF1 did not converge")
 
 
-def _jy_middle_scalar(nu: float, x: float):
-    """Middle band for either sign of the order; negative via reflection."""
+def _jy_middle_ld(nu: float, x_ld):
+    """J_nu, Y_nu in the band 16 < x < 0.85 nu^2 (|nu| > 4.3), long double.
+
+    Y at the reduced order mu = |nu| - floor(|nu|) and at mu + 1 comes from
+    the large-argument expansion (x > 16 = _hankel_xmin for orders <= 2) and
+    recurs upward to |nu| and |nu| + 1, the stable direction for Y (DLMF
+    10.6.1).  The Wronskian J Y' - J' Y = 2/(pi x) (DLMF 10.5.2) with the CF1
+    ratio J'/J then gives J.  Negative orders by reflection.
+    """
+    v = abs(nu)
+    n = int(v)
+    mu = v - n
+    y0 = _hankel_jy_ld(mu, x_ld)[1]
+    y1 = _hankel_jy_ld(mu + 1.0, x_ld)[1]
+    for k in range(1, n + 1):
+        y0, y1 = y1, _LD(2.0 * (mu + k)) / x_ld * y1 - y0
+    yp = _LD(v) / x_ld * y0 - y1
+    j = _LD(2.0) / (_PI_LD * x_ld * (yp - _cf1_ld(v, x_ld) * y0))
     if nu >= 0.0:
-        return _jy_cf_scalar(nu, x)
-    v = -nu
-    jv, yv = _jy_cf_scalar(v, x)
-    cp, sp = _cospi(v), _sinpi(v)
-    return cp * jv - sp * yv, sp * jv + cp * yv
+        return j, y0
+    cp, sp = _LD(_cospi(v)), _LD(_sinpi(v))
+    return cp * j - sp * y0, sp * j + cp * y0
 
 
 def _bessel_jy_impl(nu: float, x, want_y: bool):
@@ -380,42 +313,17 @@ def _bessel_jy_impl(nu: float, x, want_y: bool):
     if abs(nu) > SUPPORTED_ORDER_MAX:
         raise DomainError(f"bessel: |order| <= {SUPPORTED_ORDER_MAX:g} supported, got {nu}")
 
-    exact_neg_int = nu < 0 and nu == round(nu)
-    nu_j = -nu if exact_neg_int else nu  # J_{-m} = (-1)^m J_m
-    j_flip = (-1.0) ** int(round(-nu)) if exact_neg_int else 1.0
-
     j_out = np.empty_like(arr)
     y_out = np.empty_like(arr) if want_y else None
-    xmin_h = _hankel_xmin(nu)
     ser = arr <= _SERIES_XMAX
-    han = arr >= xmin_h
-    mid = ~ser & ~han
-
-    if ser.any():
-        x_ld = arr[ser].astype(_LD)
-        jp, yv = _series_jy_ld(nu_j, x_ld, want_y and not exact_neg_int)
-        if exact_neg_int:
-            j_out[ser] = j_flip * jp.astype(np.float64)
+    han = arr >= _hankel_xmin(nu)
+    for mask, branch in ((ser, functools.partial(_series_jy_ld, want_y=want_y)),
+                         (han, _hankel_jy_ld), (~ser & ~han, _jy_middle_ld)):
+        if mask.any():
+            jv, yv = branch(nu, arr[mask].astype(_LD))
+            j_out[mask] = jv.astype(np.float64)
             if want_y:
-                raise DomainError(
-                    "bessel_y: order within 1e-8 of an integer needs a limit "
-                    f"formulation that is not implemented for x <= {_SERIES_XMAX:g}"
-                )
-        else:
-            j_out[ser] = jp.astype(np.float64)
-            if want_y:
-                y_out[ser] = yv.astype(np.float64)
-    if han.any():
-        jv, yv = _hankel_jy_ld(nu, arr[han].astype(_LD))
-        j_out[han] = jv.astype(np.float64)
-        if want_y:
-            y_out[han] = yv.astype(np.float64)
-    if mid.any():
-        for idx in np.nonzero(mid)[0]:
-            jv, yv = _jy_middle_scalar(nu, float(arr[idx]))
-            j_out[idx] = jv
-            if want_y:
-                y_out[idx] = yv
+                y_out[mask] = yv.astype(np.float64)
 
     if scalar:
         return float(j_out[0]), (float(y_out[0]) if want_y else None)
@@ -445,39 +353,6 @@ def bessel_jy(nu: float, x):
 # ----------------------------------------------------------------------
 # Gauss 2F1
 # ----------------------------------------------------------------------
-
-def hyp2f1_series(a, b, c, z):
-    """Raw ascending 2F1 series with term-ratio stopping.
-
-    a, b, c complex scalars or arrays broadcastable against z; |z| must stay
-    well inside the unit disc or ConvergenceError is raised on budget blowout.
-    The direct-series kernel of hyp2f1_real_z, summed term by term; the
-    closed form's matrix path sums through _hyp2f1_rows_times_vandermonde.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    c = np.asarray(c, dtype=np.complex128)
-    z = np.asarray(z, dtype=np.complex128)
-    shape = np.broadcast_shapes(a.shape, b.shape, c.shape, z.shape)
-    term = np.ones(shape, dtype=np.complex128)
-    acc = term.copy()
-    small_runs = 0
-    for k in range(_HYP_MAX_TERMS):
-        term = term * ((a + k) * (b + k)) / ((c + k) * (k + 1.0)) * z
-        acc = acc + term
-        if np.all(np.abs(term) <= 5e-17 * (np.abs(acc) + 1e-300)):
-            small_runs += 1
-            if small_runs >= 2:
-                return acc
-        else:
-            small_runs = 0
-    raise ConvergenceError("hyp2f1_series: no convergence within term budget")
-
-
-def _hyp2f1_series_row(a, b, c, z):
-    """hyp2f1_series on one parameter row, as a (1, n) matrix."""
-    return hyp2f1_series(a[0], b[0], c[0], z)[None, :]
-
 
 def _hyp2f1_rows_times_vandermonde(a, b, c, z):
     """Separable series: term_k(i, j) = R_k(i) z_j^k, so the 2F1 matrix is
@@ -510,13 +385,13 @@ def _hyp2f1_rows_times_vandermonde(a, b, c, z):
     return rmat.real @ vand + 1j * (rmat.imag @ vand)
 
 
-def _hyp2f1_routed(series, a, b, c, z) -> np.ndarray:
+def _hyp2f1_routed(a, b, c, z) -> np.ndarray:
     """2F1 on parameter rows a, b, c (complex, shape (m,)) x real z (n,),
-    returning (m, n); `series(a, b, c, z)` sums the direct series on that
-    layout.  Direct series for z <= 0.75; the 1-z connection formula (DLMF
-    15.8.4) above, which controls the z -> 1 cancellation.  When some row's
-    c-a-b sits within 1e-3 of an integer (the connection coefficients blow
-    up there) the direct series serves up to z <= 0.95; beyond, it raises.
+    returning (m, n), every series summed by _hyp2f1_rows_times_vandermonde.
+    Direct series for z <= 0.75; the 1-z connection formula (DLMF 15.8.4)
+    above, which controls the z -> 1 cancellation.  When some row's c-a-b
+    sits within 1e-3 of an integer (the connection coefficients blow up
+    there) the direct series serves up to z <= 0.95; beyond, it raises.
     """
     a, b, c = (np.atleast_1d(np.asarray(p, dtype=np.complex128)) for p in (a, b, c))
     z = np.atleast_1d(np.asarray(z, dtype=np.float64))
@@ -527,14 +402,14 @@ def _hyp2f1_routed(series, a, b, c, z) -> np.ndarray:
     out = np.empty((len(a), len(z)), dtype=np.complex128)
     lo = z <= 0.75
     if lo.any():
-        out[:, lo] = series(a, b, c, z[lo])
+        out[:, lo] = _hyp2f1_rows_times_vandermonde(a, b, c, z[lo])
     hi = ~lo
     if hi.any():
         d = c - a - b
         dist = np.abs(d - np.round(d.real))
         if np.any(dist < 1e-3):
             if np.all(z[hi] <= 0.95):
-                out[:, hi] = series(a, b, c, z[hi])
+                out[:, hi] = _hyp2f1_rows_times_vandermonde(a, b, c, z[hi])
                 return out
             raise ConvergenceError(
                 "hyp2f1: z > 0.95 with c-a-b within 1e-3 of an integer "
@@ -544,8 +419,8 @@ def _hyp2f1_routed(series, a, b, c, z) -> np.ndarray:
                  * rgamma_array(c - a) * rgamma_array(c - b))
         coef2 = (gamma_array(c) * gamma_array(-d)
                  * rgamma_array(a) * rgamma_array(b))
-        f1 = series(a, b, a + b - c + 1.0, om)
-        f2 = series(c - a, c - b, c - a - b + 1.0, om)
+        f1 = _hyp2f1_rows_times_vandermonde(a, b, a + b - c + 1.0, om)
+        f2 = _hyp2f1_rows_times_vandermonde(c - a, c - b, c - a - b + 1.0, om)
         out[:, hi] = coef1[:, None] * f1 \
             + coef2[:, None] * np.exp(np.outer(d, np.log(om))) * f2
     return out
@@ -554,10 +429,8 @@ def _hyp2f1_routed(series, a, b, c, z) -> np.ndarray:
 def hyp2f1_real_z(a, b, c, z):
     """2F1(a,b;c;z) for complex scalar parameters and real z array in [0, 1).
 
-    The routing of hyp2f1_matrix on one row, summed term by term by
-    hyp2f1_series: an independent reference for the matrix form's sums.
-    """
-    out = _hyp2f1_routed(_hyp2f1_series_row, a, b, c, z)[0]
+    One row of the router behind hyp2f1_matrix."""
+    out = _hyp2f1_routed(a, b, c, z)[0]
     return complex(out[0]) if np.ndim(z) == 0 else out
 
 
@@ -565,11 +438,10 @@ def hyp2f1_matrix(a, b, c, z) -> np.ndarray:
     """2F1 on the outer product of parameter rows and abscissa columns.
 
     a, b, c: complex arrays of shape (m,) (one parameter triple per row);
-    z: real array of shape (n,) in [0, 1).  Returns (m, n).  The routing of
-    _hyp2f1_routed, summed by _hyp2f1_rows_times_vandermonde.  The contour
+    z: real array of shape (n,) in [0, 1).  Returns (m, n).  The contour
     solver's hot path.
     """
-    return _hyp2f1_routed(_hyp2f1_rows_times_vandermonde, a, b, c, z)
+    return _hyp2f1_routed(a, b, c, z)
 
 
 def gauss_2f1(a, b, c, z) -> complex:

@@ -19,8 +19,8 @@ from weberorr.kernels import (KernelParams, derivative_identity_check,
                               weber_kernel)
 from weberorr.mellin import (ContourSpec, MellinRepresentation, class_norm,
                              mellin_inverse, parseval_check)
-from weberorr.quadrature import (QuadratureConfig, integrate_improper,
-                                 integrate_oscillatory_tail,
+from weberorr.quadrature import (ORIGIN_CUTOFF, QuadratureConfig,
+                                 integrate_improper, integrate_oscillatory_tail,
                                  truncation_remainders)
 from weberorr.solver import TestFunctionFamily as BetaFamily
 from weberorr.solver import (default_contour, expansion_titchmarsh,
@@ -152,7 +152,7 @@ class TestAcceptance:
                 lam = np.asarray(lam, dtype=np.float64)
                 return np.exp(-s * np.log(lam)) * weber_kernel(params, x, lam)
 
-            start = max(cfg.origin_cutoff, 10.0 / min(x, params.a))
+            start = max(ORIGIN_CUTOFF, 10.0 / min(x, params.a))
             tail_ref = complex(integrate_oscillatory_tail(
                 integrand, x - params.a, start, cfg).value)
             ns, rems = truncation_remainders(integrand, x - params.a, start,

@@ -43,6 +43,32 @@ class TestBesselConformance:
             scale = max(abs(y_ref), 0.05 * env, 1e-290)
             assert abs(y - y_ref) / scale <= 1e-12, (nu, x, "Y")
 
+    def test_middle_band_against_mpmath(self):
+        # 16 < x < 0.85 nu^2: Y from the large-argument expansion recurred
+        # upward, J from CF1 and the Wronskian; the frozen grid's scaled bound
+        import mpmath as mp
+        rng = np.random.default_rng(1701)
+        orders = list(rng.uniform(4.35, 50.0, 56) * rng.choice([-1.0, 1.0], 56))
+        orders += [7.0, -12.0, 9.5, -30.5]
+        for nu in orders:
+            x = rng.uniform(16.001, 0.999 * 0.85 * nu * nu)
+            env = math.sqrt(2.0 / (math.pi * x)) if x >= abs(nu) else 0.0
+            j, y = sf.bessel_jy(nu, x)
+            for got, ref in ((j, mp.besselj(nu, x)), (y, mp.bessely(nu, x))):
+                scale = max(abs(float(ref)), 0.05 * env, 1e-290)
+                assert abs(got - float(ref)) / scale <= 1e-12, (nu, x)
+
+    def test_mixed_branch_batch_matches_pointwise(self):
+        # one array across the series, middle and large-argument branches
+        rng = np.random.default_rng(3)
+        for nu in (20.3, -20.3, -14.5):
+            x = rng.permutation(np.concatenate([
+                rng.uniform(0.5, 16.0, 7), rng.uniform(16.5, 330.0, 7),
+                rng.uniform(360.0, 900.0, 7)]))
+            j, y = sf.bessel_jy(nu, x)
+            for i, xi in enumerate(x):
+                assert (j[i], y[i]) == sf.bessel_jy(nu, float(xi)), (nu, xi)
+
     def test_wronskian(self):
         # J_{nu+1} Y_nu - J_nu Y_{nu+1} = 2/(pi z)
         for nu in (-0.95, -0.75, -0.55):
@@ -68,6 +94,12 @@ class TestBesselConformance:
             sf.bessel_y(3.0, 1.0)  # integer order, series region
         with pytest.raises(DomainError):
             sf.bessel_y(2.0 + 1e-9, 1.0)  # near-integer order
+
+    def test_middle_band_budget(self, monkeypatch):
+        # the CF1 loop of the middle band stops at its term budget
+        monkeypatch.setattr(sf, "_CF1_MAX_TERMS", 10)
+        with pytest.raises(ConvergenceError):
+            sf.bessel_j(20.3, 200.0)
 
     def test_integer_order_j_and_large_x_y(self):
         # J at integer order works everywhere; Y at integer order works
@@ -220,14 +252,15 @@ class TestHyp2F1:
         assert rel_err(got, ref) <= 1e-10
 
     def test_matrix_matches_scalar_on_near_integer_fallback(self):
-        # c-a-b within 1e-3 of an integer and z in (0.75, 0.95]: both forms
-        # take the direct series past 0.75, the matrix form for every row
-        # once any row is near-integer (the last one is not)
+        # c-a-b within 1e-3 of an integer and z in (0.75, 0.95]: the matrix
+        # form takes the direct series past 0.75 for every row once any row
+        # is near-integer (the last one is not); mpmath row by row
+        import mpmath as mp
         a = np.array([0.5, 0.3 + 0.7j, -0.4 + 1.2j, 1.1 - 0.5j, 0.2 + 0.1j])
         b = np.array([0.5, 0.9 - 0.2j, 0.25 + 0.3j, -0.6 + 0.8j, 0.7])
         c = a + b + np.array([1, 2 + 4e-4, -7e-4 + 2e-4j, -1 + 9e-4j, 0.55 + 0.2j])
         z = np.array([0.3, 0.76, 0.85, 0.9, 0.95])
         mat = sf.hyp2f1_matrix(a, b, c, z)
         for i in range(len(a)):
-            row = sf.hyp2f1_real_z(a[i], b[i], c[i], z)
+            row = np.array([complex(mp.hyp2f1(a[i], b[i], c[i], zj)) for zj in z])
             assert np.max(np.abs(mat[i] - row) / np.abs(row)) <= 1e-12, i

@@ -113,7 +113,7 @@ def main():
     out.append("")
 
     # Bessel conformance grid: (nu, x, J, Y); orders/arguments cover the
-    # series, continued-fraction, and asymptotic evaluation regions.
+    # series, middle-band, and large-argument evaluation regions.
     grid = []
     for nu in (-0.95, -0.75, -0.55, -0.5, 0.25, 0.5, 1.25, -1.25,
                4.6, -4.6, 7.5, -7.5, 20.3, -20.3, 49.5, -49.5):
