@@ -26,7 +26,7 @@ import numpy as np
 from . import specfun
 from .errors import DomainError, PoleProximityError, StripError
 from .kernels import KernelParams, weber_kernel
-from .quadrature import ORIGIN_CUTOFF, QuadratureConfig, integrate_improper
+from .quadrature import QuadratureConfig, integrate_cross_product
 from .report import EvaluationReport
 
 _POLE_RADIUS = 0.05  # guard around the s = 0 pole of Gamma(-s/2)
@@ -102,16 +102,12 @@ def _prefactors_matrix(params: KernelParams, svals: np.ndarray):
     return g1, g2, g3
 
 
-def fnu_matrix(params: KernelParams, svals, xs) -> np.ndarray:
-    """Closed form on the outer product contour-nodes x abscissas.
-
-    svals: (m,) complex points inside the strip; xs: (n,) reals > a.
-    Returns the (m, n) matrix F(x_j, s_i) - the contour solver evaluates
-    whole quadrature batches through this in a handful of numpy passes.
-    """
-    svals, xs = _checked(params, svals, xs)
-    nu, a = params.nu, params.a
-    z = (a / xs) ** 2
+def _terms(params: KernelParams, svals: np.ndarray, xs: np.ndarray):
+    """Factors of the closed form on checked nodes and abscissas:
+    (g1 + g3, g2) as columns, the x powers p13, p2 and the 2F1 factors h13,
+    h2 on the (nodes, abscissas) matrix."""
+    nu = params.nu
+    z = (params.a / xs) ** 2
     rows13, rows2 = _hyp_rows(nu, svals)
     h13 = specfun.hyp2f1_matrix(*rows13, z)
     h2 = specfun.hyp2f1_matrix(*rows2, z)
@@ -119,7 +115,18 @@ def fnu_matrix(params: KernelParams, svals, xs) -> np.ndarray:
     ln_x = np.log(xs)
     p13 = np.exp(np.outer(svals - nu - 2.0, ln_x))
     p2 = np.exp(np.outer(svals + nu, ln_x))
-    return (g1 + g3)[:, None] * p13 * h13 + g2[:, None] * p2 * h2
+    return (g1 + g3)[:, None], g2[:, None], p13, h13, p2, h2
+
+
+def fnu_matrix(params: KernelParams, svals, xs) -> np.ndarray:
+    """Closed form on the outer product contour-nodes x abscissas.
+
+    svals: (m,) complex points inside the strip; xs: (n,) reals > a.
+    Returns the (m, n) matrix F(x_j, s_i) - the contour solver evaluates
+    whole quadrature batches through this in a handful of numpy passes.
+    """
+    g13, g2, p13, h13, p2, h2 = _terms(params, *_checked(params, svals, xs))
+    return g13 * p13 * h13 + g2 * p2 * h2
 
 
 def fnu_dx_matrix(params: KernelParams, svals, xs) -> np.ndarray:
@@ -127,24 +134,16 @@ def fnu_dx_matrix(params: KernelParams, svals, xs) -> np.ndarray:
     Differentiates the powers and the 2F1 arguments; two extra 2F1 calls at
     shifted parameters."""
     svals, xs = _checked(params, svals, xs)
-    nu, a = params.nu, params.a
-    z = (a / xs) ** 2
+    g13, g2, p13, h13, p2, h2 = _terms(params, svals, xs)
+    nu, z = params.nu, (params.a / xs) ** 2
     dz_dx = -2.0 * z / xs
     (a13, b13, c13), (a2, b2, c2) = _hyp_rows(nu, svals)
-    h13 = specfun.hyp2f1_matrix(a13, b13, c13, z)
-    h13p = (a13 * b13 / c13)[:, None] * specfun.hyp2f1_matrix(
-        a13 + 1, b13 + 1, c13 + 1, z)
-    h2 = specfun.hyp2f1_matrix(a2, b2, c2, z)
+    h13p = (a13 * b13 / c13)[:, None] * specfun.hyp2f1_matrix(a13 + 1, b13 + 1, c13 + 1, z)
     h2p = (a2 * b2 / c2)[:, None] * specfun.hyp2f1_matrix(a2 + 1, b2 + 1, c2 + 1, z)
-    g1, g2, g3 = _prefactors_matrix(params, svals)
-    ln_x = np.log(xs)
     e13 = (svals - nu - 2.0)[:, None]
     e2 = (svals + nu)[:, None]
-    x13 = np.exp(e13 * ln_x[None, :])
-    x2 = np.exp(e2 * ln_x[None, :])
-    d13 = x13 * (e13 / xs[None, :] * h13 + h13p * dz_dx[None, :])
-    d2 = x2 * (e2 / xs[None, :] * h2 + h2p * dz_dx[None, :])
-    return (g1 + g3)[:, None] * d13 + g2[:, None] * d2
+    return (g13 * p13 * (e13 / xs * h13 + h13p * dz_dx)
+            + g2 * p2 * (e2 / xs * h2 + h2p * dz_dx))
 
 
 def F_nu_closed_batch(params: KernelParams, xs, s) -> np.ndarray:
@@ -183,9 +182,7 @@ def F_nu_oracle(params: KernelParams, x: float, s,
         lam = np.asarray(lam, dtype=np.float64)
         return np.exp(-s * np.log(lam)) * weber_kernel(params, x, lam)
 
-    start = max(ORIGIN_CUTOFF, 10.0 / min(x, params.a))
-    return integrate_improper(integrand, 0.0, x - params.a, cfg,
-                              asymptotic_start=start)
+    return integrate_cross_product(integrand, x, params.a, cfg)
 
 
 # ----------------------------------------------------------------------

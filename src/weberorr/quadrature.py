@@ -72,63 +72,39 @@ def _adaptive_finite(f, lo: float, hi: float, abs_tol: float, rel_tol: float,
     if initial_edges is None:
         initial_edges = np.linspace(lo, hi, 9)
     edges = np.asarray(initial_edges, dtype=np.float64)
-    parent_vals = _panel_values(f, edges[:-1], edges[1:], _ADAPT_ORDER)
-    nevals = (len(edges) - 1) * _ADAPT_ORDER
-    done_vals: list[complex] = []
-    done_errs: list[float] = []
-    cur_lo = edges[:-1]
-    cur_hi = edges[1:]
-    converged = False
-    leftover = 0.0 + 0.0j
-    leftover_err = 0.0
+    cur_lo, cur_hi = edges[:-1], edges[1:]
+    parent_vals = _panel_values(f, cur_lo, cur_hi, _ADAPT_ORDER)
+    nevals = len(cur_lo) * _ADAPT_ORDER
+    # finished panels, one array per level, in the order they finished
+    done_vals = [np.zeros(0, dtype=np.complex128)]
+    done_errs = [np.zeros(0)]
+    leftover, leftover_err = 0.0 + 0.0j, 0.0
     for _ in range(_MAX_ADAPT_LEVELS):
         mids = 0.5 * (cur_lo + cur_hi)
-        sub_lo = np.repeat(cur_lo, 2)
-        sub_hi = np.repeat(cur_hi, 2)
-        sub_lo[1::2] = mids
-        sub_hi[0::2] = mids
+        sub_lo = np.column_stack([cur_lo, mids]).ravel()
+        sub_hi = np.column_stack([mids, cur_hi]).ravel()
         child_vals = _panel_values(f, sub_lo, sub_hi, _ADAPT_ORDER)
         nevals += len(sub_lo) * _ADAPT_ORDER
         pair_sum = child_vals[0::2] + child_vals[1::2]
         errs = np.abs(parent_vals - pair_sum)
-
-        total = np.sum(pair_sum) + (np.sum(done_vals) if done_vals else 0.0)
+        total = np.sum(pair_sum) + np.sum(np.concatenate(done_vals))
         tol = max(abs_tol, rel_tol * abs(total))
-        alloc = 0.5 * tol / max(1, len(cur_lo))
-        keep = errs <= alloc
-        for i in np.nonzero(keep)[0]:
-            done_vals.append(pair_sum[i])
-            done_errs.append(float(errs[i]))
+        keep = errs <= 0.5 * tol / max(1, len(cur_lo))
         split = ~keep
-        if not split.any():
-            converged = True
-            cur_lo = cur_lo[:0]
+        done_vals.append(pair_sum[keep])
+        done_errs.append(errs[keep])
+        converged = not split.any()
+        if converged or 2 * int(split.sum()) > _MAX_ADAPT_PANELS:
+            done_vals.append(pair_sum[split])
+            done_errs.append(errs[split])
             break
-        if 2 * int(split.sum()) > _MAX_ADAPT_PANELS:
-            for i in np.nonzero(split)[0]:
-                done_vals.append(pair_sum[i])
-                done_errs.append(float(errs[i]))
-            cur_lo = cur_lo[:0]
-            break
-        idx = np.nonzero(split)[0]
-        leftover_err = float(np.sum(errs[idx]))
-        new_lo = np.empty(2 * len(idx))
-        new_hi = np.empty(2 * len(idx))
-        new_parents = np.empty(2 * len(idx), dtype=np.complex128)
-        new_lo[0::2] = cur_lo[idx]
-        new_hi[0::2] = mids[idx]
-        new_lo[1::2] = mids[idx]
-        new_hi[1::2] = cur_hi[idx]
-        new_parents[0::2] = child_vals[2 * idx]
-        new_parents[1::2] = child_vals[2 * idx + 1]
-        cur_lo, cur_hi, parent_vals = new_lo, new_hi, new_parents
-    if len(cur_lo):
-        # level budget exhausted: current children are the best estimates
-        leftover = complex(np.sum(parent_vals))
-    value = (complex(np.sum(done_vals)) if done_vals else 0.0 + 0.0j) + leftover
-    err = (float(np.sum(done_errs)) if done_errs else 0.0)
-    if len(cur_lo):
-        err += leftover_err
+        cur_lo, cur_hi, parent_vals = (v.reshape(-1, 2)[split].ravel()
+                                       for v in (sub_lo, sub_hi, child_vals))
+    else:
+        # level budget exhausted: the split panels' children are the best estimates
+        leftover, leftover_err = complex(np.sum(parent_vals)), float(np.sum(errs[split]))
+    value = complex(np.sum(np.concatenate(done_vals))) + leftover
+    err = float(np.sum(np.concatenate(done_errs))) + leftover_err
     return value, err, converged, nevals
 
 
@@ -353,6 +329,17 @@ def integrate_semiinfinite_from_a(integrand, a: float, phase_frequency: float,
     if asymptotic_start is None and phase_frequency > 0.0:
         asymptotic_start = a + max(ORIGIN_CUTOFF, 10.0 / phase_frequency)
     return integrate_improper(integrand, a, phase_frequency, cfg, asymptotic_start)
+
+
+def integrate_cross_product(integrand, x: float, a: float,
+                            cfg: QuadratureConfig) -> EvaluationReport:
+    """int_0^inf d lam of an integrand carrying a Bessel cross product at
+    x lam and a lam (x != a): the twin of integrate_semiinfinite_from_a.
+    The product beats at frequency |x - a|, and the accelerated tail takes
+    over once lam * min(x, a) >= 10, where both factors follow their cosine
+    models."""
+    return integrate_improper(integrand, 0.0, abs(x - a), cfg,
+                              asymptotic_start=max(ORIGIN_CUTOFF, 10.0 / min(x, a)))
 
 
 def raw_tail_sum(integrand, phase_frequency: float, start: float,

@@ -26,8 +26,8 @@ from .errors import DomainError, MembershipError, StripError
 from .kernels import KernelParams, kernel_C, weber_kernel
 from .mellin import (ContourSpec, MellinRepresentation, _contour_sum,
                      _phi_values, contour_integral)
-from .quadrature import (ORIGIN_CUTOFF, QuadratureConfig, integrate_improper,
-                         integrate_semiinfinite_from_a)
+from .quadrature import (QuadratureConfig, integrate_cross_product,
+                         integrate_improper, integrate_semiinfinite_from_a)
 from .report import EvaluationReport
 
 
@@ -130,9 +130,7 @@ def forward_direct(phi, params: KernelParams, x: float,
         lam = np.asarray(lam, dtype=np.float64)
         return np.asarray(phi(lam), dtype=np.complex128) * weber_kernel(params, x, lam)
 
-    start = max(ORIGIN_CUTOFF, 10.0 / min(x, params.a))
-    return integrate_improper(integrand, 0.0, x - params.a, cfg,
-                              asymptotic_start=start)
+    return integrate_cross_product(integrand, x, params.a, cfg)
 
 
 def _forward_integrand(rep: MellinRepresentation, params: KernelParams,
@@ -295,9 +293,7 @@ def reduced_equation_check(phi, params: KernelParams, x: float,
         return -lam * np.asarray(phi(lam), dtype=np.complex128) \
             * kernel_C(params.nu + 1.0, x * lam, params.a * lam)
 
-    start = max(ORIGIN_CUTOFF, 10.0 / min(x, params.a))
-    lhs = integrate_improper(integrand, 0.0, x - params.a, cfg,
-                             asymptotic_start=start)
+    lhs = integrate_cross_product(integrand, x, params.a, cfg)
     rhs = complex(f_derivative_side(x))
     rep = EvaluationReport(abs(complex(lhs.value) - rhs),
                            lhs.abs_error_estimate, lhs.converged)
@@ -306,38 +302,40 @@ def reduced_equation_check(phi, params: KernelParams, x: float,
     return rep
 
 
-def _memoized_profile(fn_scalar):
-    cache: dict[float, complex] = {}
-
-    def wrapped(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-        out = np.empty(ts.shape, dtype=np.complex128)
-        for i, t in enumerate(ts):
-            key = float(t)
-            if key not in cache:
-                cache[key] = fn_scalar(key)
-            out[i] = cache[key]
-        return out
-
-    return wrapped
-
-
 _SLOW_FREQ = 0.3  # below this the oscillatory tail model is not worth it
 
 
-def _inner_improper(integrand, lower: float, freq: float, cfg: QuadratureConfig,
-                    start_hint: float | None = None) -> complex:
-    """Inner-integral helper for the expansions: falls back to the
-    non-oscillatory route when the beat frequency is too slow.  start_hint
-    is the asymptotic start of the oscillatory route from lower = 0."""
-    if abs(freq) < _SLOW_FREQ:
-        rep = integrate_improper(integrand, lower, 0.0, cfg)
-    elif lower > 0.0:
-        rep = integrate_semiinfinite_from_a(integrand, lower, abs(freq), cfg)
-    else:
-        rep = integrate_improper(integrand, lower, abs(freq), cfg,
-                                 asymptotic_start=start_hint)
-    return complex(rep.value)
+def _titchmarsh_repeated(h, params: KernelParams, x: float,
+                         cfg: QuadratureConfig) -> EvaluationReport:
+    """int_a^inf C_nu(x t, x a) t [int_0^inf C_nu(t xi, a xi) h(xi) d xi] dt,
+    the inner integral taken at each outer node on its own.  It beats at
+    |t - a|, and below _SLOW_FREQ takes the non-oscillatory route."""
+    a, nu = params.a, params.nu
+
+    def inner(t: float) -> complex:
+        def integrand(xi):
+            xi = np.asarray(xi, dtype=np.float64)
+            return kernel_C(nu, t * xi, a * xi) * h(xi)
+        if abs(t - a) < _SLOW_FREQ:
+            return complex(integrate_improper(integrand, 0.0, 0.0, cfg).value)
+        return complex(integrate_cross_product(integrand, t, a, cfg).value)
+
+    def outer(ts):
+        ts = np.asarray(ts, dtype=np.float64)
+        return kernel_C(nu, x * ts, x * a) * ts \
+            * np.array([inner(float(t)) for t in ts], dtype=np.complex128)
+
+    return integrate_semiinfinite_from_a(outer, a, x, cfg)
+
+
+def _deviation(recon: complex, target, x: float,
+               out: EvaluationReport) -> EvaluationReport:
+    """|recon - target(x)| with the outer integral's estimate and flag."""
+    at = complex(np.asarray(target(np.array([x])), dtype=np.complex128)[0])
+    rep = EvaluationReport(abs(recon - at), out.abs_error_estimate, out.converged)
+    rep.add_diagnostic("reconstructed_re", recon.real)
+    rep.add_diagnostic("target_re", at.real)
+    return rep
 
 
 def expansion_titchmarsh(g, params: KernelParams, x: float,
@@ -356,30 +354,10 @@ def expansion_titchmarsh(g, params: KernelParams, x: float,
     x = float(x)
     if x <= 0.0:
         raise DomainError("expansion_titchmarsh: x must be > 0")
-    a, nu = params.a, params.nu
-
-    def inner_scalar(t: float) -> complex:
-        def h(xi):
-            xi = np.asarray(xi, dtype=np.float64)
-            return kernel_C(nu, t * xi, a * xi) * np.asarray(g(xi), dtype=np.complex128)
-        return _inner_improper(h, 0.0, t - a, cfg,
-                               start_hint=max(ORIGIN_CUTOFF, 10.0 / min(t, a)))
-
-    inner = _memoized_profile(inner_scalar)
-
-    def outer(ts):
-        ts = np.asarray(ts, dtype=np.float64)
-        return kernel_C(nu, x * ts, x * a) * ts * inner(ts)
-
-    out = integrate_semiinfinite_from_a(outer, a, x, cfg)
-    jax_, yax = specfun.bessel_jy(nu, a * x)
-    recon = x / (jax_ * jax_ + yax * yax) * complex(out.value)
-    g_at = complex(np.asarray(g(np.array([x])), dtype=np.complex128)[0])
-    rep = EvaluationReport(abs(recon - g_at), out.abs_error_estimate,
-                           out.converged)
-    rep.add_diagnostic("reconstructed_re", recon.real)
-    rep.add_diagnostic("target_re", g_at.real)
-    return rep
+    out = _titchmarsh_repeated(lambda xi: np.asarray(g(xi), dtype=np.complex128),
+                               params, x, cfg)
+    jax_, yax = specfun.bessel_jy(params.nu, params.a * x)
+    return _deviation(x / (jax_ * jax_ + yax * yax) * complex(out.value), g, x, out)
 
 
 def expansion_weber_orr(f, params: KernelParams, x: float, variant: int,
@@ -402,45 +380,28 @@ def expansion_weber_orr(f, params: KernelParams, x: float, variant: int,
     if x <= 0.0:
         raise DomainError("expansion_weber_orr: x must be > 0")
 
-    if variant == 4:
-        def inner_scalar(t: float) -> complex:
-            def h(xi):
-                xi = np.asarray(xi, dtype=np.float64)
-                return kernel_C(nu, xi * t, a * t) * xi \
-                    * np.asarray(f(xi), dtype=np.complex128)
-            return _inner_improper(h, a, t, cfg)
+    if variant == 5:  # Titchmarsh's repeated integral, without its x / (J^2 + Y^2) factor
+        def h(xi):
+            ja, ya = specfun.bessel_jy(nu, a * xi)
+            return xi * np.asarray(f(xi), dtype=np.complex128) / (ja * ja + ya * ya)
 
-        inner = _memoized_profile(inner_scalar)
+        out = _titchmarsh_repeated(h, params, x, cfg)
+        return _deviation(complex(out.value), f, x, out)
 
-        def outer(ts):
-            ts = np.asarray(ts, dtype=np.float64)
-            ja, ya = specfun.bessel_jy(nu, a * ts)
-            return ts * kernel_C(nu, x * ts, a * ts) / (ja * ja + ya * ya) * inner(ts)
+    def inner(t: float) -> complex:
+        def integrand(xi):
+            xi = np.asarray(xi, dtype=np.float64)
+            return kernel_C(nu, xi * t, a * t) * xi \
+                * np.asarray(f(xi), dtype=np.complex128)
+        if t < _SLOW_FREQ:
+            return complex(integrate_improper(integrand, a, 0.0, cfg).value)
+        return complex(integrate_semiinfinite_from_a(integrand, a, t, cfg).value)
 
-        out = integrate_improper(
-            outer, 0.0, x - a, cfg,
-            asymptotic_start=max(ORIGIN_CUTOFF, 10.0 / min(x, a)))
-    else:
-        def inner_scalar(t: float) -> complex:
-            def h(xi):
-                xi = np.asarray(xi, dtype=np.float64)
-                ja, ya = specfun.bessel_jy(nu, a * xi)
-                return kernel_C(nu, t * xi, a * xi) / (ja * ja + ya * ya) * xi \
-                    * np.asarray(f(xi), dtype=np.complex128)
-            return _inner_improper(h, 0.0, t - a, cfg,
-                                   start_hint=max(ORIGIN_CUTOFF, 10.0 / min(t, a)))
+    def outer(ts):
+        ts = np.asarray(ts, dtype=np.float64)
+        ja, ya = specfun.bessel_jy(nu, a * ts)
+        return ts * kernel_C(nu, x * ts, a * ts) / (ja * ja + ya * ya) \
+            * np.array([inner(float(t)) for t in ts], dtype=np.complex128)
 
-        inner = _memoized_profile(inner_scalar)
-
-        def outer(ts):
-            ts = np.asarray(ts, dtype=np.float64)
-            return kernel_C(nu, x * ts, x * a) * ts * inner(ts)
-
-        out = integrate_semiinfinite_from_a(outer, a, x, cfg)
-
-    f_at = complex(np.asarray(f(np.array([x])), dtype=np.complex128)[0])
-    recon = complex(out.value)
-    rep = EvaluationReport(abs(recon - f_at), out.abs_error_estimate, out.converged)
-    rep.add_diagnostic("reconstructed_re", recon.real)
-    rep.add_diagnostic("target_re", f_at.real)
-    return rep
+    out = integrate_cross_product(outer, x, a, cfg)
+    return _deviation(complex(out.value), f, x, out)

@@ -5,12 +5,14 @@ import pytest
 
 import _frozen
 from conftest import rel_err
+from weberorr.closedform import F_nu_oracle
 from weberorr.errors import DivergenceError, DomainError
 from weberorr.kernels import KernelParams, weber_kernel
-from weberorr.quadrature import (ORIGIN_CUTOFF, QuadratureConfig,
+from weberorr.quadrature import (ORIGIN_CUTOFF, QuadratureConfig, _adaptive_finite,
                                  integrate_improper, integrate_oscillatory_tail,
                                  integrate_semiinfinite_from_a, raw_tail_sum,
                                  truncation_remainders)
+from weberorr.solver import TestFunctionFamily as BetaFamily, forward_direct
 
 
 class TestConfig:
@@ -115,6 +117,40 @@ class TestImproper:
         with pytest.raises(DomainError):
             integrate_semiinfinite_from_a(lambda x: x, 0.0, 1.0,
                                           QuadratureConfig())
+
+
+class TestAdaptiveBudgets:
+    """Both budget exits of the adaptive panel rule report converged=False
+    with an estimate that still covers the true error."""
+
+    def test_level_budget(self):
+        # the jump at 1/3 is never a panel edge: every level splits its panel
+        value, err, converged, nevals = _adaptive_finite(
+            lambda x: np.sign(x - 1.0 / 3.0), 0.0, 1.0, 1e-15, 1e-15)
+        assert not converged
+        assert nevals == 1380
+        assert 0.0 < abs(value - 1.0 / 3.0) <= err
+
+    def test_panel_budget(self):
+        value, err, converged, nevals = _adaptive_finite(
+            lambda x: np.cos(3e5 * x), 0.0, 1.0, 1e-15, 1e-15)
+        assert not converged
+        assert nevals == 982920
+        assert abs(value - math.sin(3e5) / 3e5) <= err
+
+
+class TestCrossProduct:
+    @pytest.mark.parametrize("a, x, start", [(1.0, 2.5, 10.0), (20.0, 30.0, 1.0)])
+    def test_asymptotic_start(self, a, x, start):
+        # the tail starts at max(ORIGIN_CUTOFF, 10 / min(x, a)), on either
+        # side of the max, for the forward integral and the oracle alike
+        p = KernelParams(-0.75, a)
+        assert max(ORIGIN_CUTOFF, 10.0 / min(x, a)) == start
+        reps = (forward_direct(BetaFamily(2, 1.0).phi, p, x),
+                F_nu_oracle(p, x, -0.5))
+        for rep in reps:
+            assert rep.diagnostic("asymptotic_start") == start
+            assert rep.converged
 
 
 class TestTruncationLaw:

@@ -421,8 +421,6 @@ class TestFlagViolatingRoundTrip:
         # forward_contour refuses - yet the pair still round-trips through
         # the direct quadrature: the class hypotheses are sufficient, not
         # necessary
-        from weberorr.solver import _memoized_profile
-
         phi = lambda lam: np.asarray(lam, dtype=np.float64) ** 2 \
             * np.exp(-np.asarray(lam, dtype=np.float64))
 
@@ -434,8 +432,11 @@ class TestFlagViolatingRoundTrip:
             forward_contour(rep, P75, 2.0)
 
         cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-6, max_half_periods=64)
-        f_scalar = lambda t: complex(forward_direct(phi, P75, t, cfg).value)
-        f = _memoized_profile(f_scalar)
+
+        def f(ts):
+            return np.array([complex(forward_direct(phi, P75, float(t), cfg).value)
+                             for t in np.atleast_1d(ts)])
+
         lam = 1.0
         out = inverse_solve(f, P75, lam, cfg)
         assert rel_err(out.value, lam ** 2 * math.exp(-lam)) <= 1e-2
