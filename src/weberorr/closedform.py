@@ -102,20 +102,36 @@ def _prefactors_matrix(params: KernelParams, svals: np.ndarray):
     return g1, g2, g3
 
 
+_node_memo = None  # ((nu, a, node bytes), node side) of the last node set
+
+
+def _node_side(params: KernelParams, svals: np.ndarray):
+    """(g1 + g3, g2) as columns and the 2F1 plans of factors 1 and 2 on the
+    nodes svals.  The contour solver sends batch after batch through one node
+    set, so the last one is kept: one entry bounds the memory."""
+    global _node_memo
+    key = (params.nu, params.a, svals.tobytes())
+    memo = _node_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    g1, g2, g3 = _prefactors_matrix(params, svals)
+    plans = [specfun._Hyp2f1Plan(*rows) for rows in _hyp_rows(params.nu, svals)]
+    side = ((g1 + g3)[:, None], g2[:, None], *plans)
+    _node_memo = (key, side)
+    return side
+
+
 def _terms(params: KernelParams, svals: np.ndarray, xs: np.ndarray):
     """Factors of the closed form on checked nodes and abscissas:
     (g1 + g3, g2) as columns, the x powers p13, p2 and the 2F1 factors h13,
     h2 on the (nodes, abscissas) matrix."""
     nu = params.nu
     z = (params.a / xs) ** 2
-    rows13, rows2 = _hyp_rows(nu, svals)
-    h13 = specfun.hyp2f1_matrix(*rows13, z)
-    h2 = specfun.hyp2f1_matrix(*rows2, z)
-    g1, g2, g3 = _prefactors_matrix(params, svals)
+    g13, g2, plan13, plan2 = _node_side(params, svals)
     ln_x = np.log(xs)
     p13 = np.exp(np.outer(svals - nu - 2.0, ln_x))
     p2 = np.exp(np.outer(svals + nu, ln_x))
-    return (g1 + g3)[:, None], g2[:, None], p13, h13, p2, h2
+    return g13, g2, p13, plan13(z), p2, plan2(z)
 
 
 def fnu_matrix(params: KernelParams, svals, xs) -> np.ndarray:

@@ -354,83 +354,105 @@ def bessel_jy(nu: float, x):
 # Gauss 2F1
 # ----------------------------------------------------------------------
 
-def _hyp2f1_rows_times_vandermonde(a, b, c, z):
-    """Separable series: term_k(i, j) = R_k(i) z_j^k, so the 2F1 matrix is
-    (coefficient rows) @ (Vandermonde of z) - one BLAS pass instead of a
-    per-term broadcast loop.  Truncation is controlled at the largest z.
-    """
-    m, n = len(a), len(z)
-    zmax = float(np.max(z)) if n else 0.0
-    coeff = np.ones(m, dtype=np.complex128)
-    rows = [coeff]
-    probe_sum = coeff.copy()
-    zpow = 1.0
-    small_runs = 0
-    for k in range(_HYP_MAX_TERMS):
-        coeff = coeff * ((a + k) * (b + k)) / ((c + k) * (k + 1.0))
-        rows.append(coeff)
-        zpow *= zmax
-        probe = np.abs(coeff) * zpow
-        probe_sum = probe_sum + coeff * zpow
-        if np.all(probe <= 5e-17 * (np.abs(probe_sum) + 1e-300)):
-            small_runs += 1
-            if small_runs >= 2:
+class _SeriesRows:
+    """Coefficient rows R_k of sum_k R_k(i) z^k, grown on demand, applied to
+    abscissas z as (rows) @ (Vandermonde of z) in one BLAS pass.  The series
+    stops where a term-by-term loop at the largest z would: after two terms
+    in a row under 5e-17 |partial sum| on every row."""
+
+    def __init__(self, a, b, c):
+        self.abc = a, b, c
+        self.rows = np.ones((len(a), 1), dtype=np.complex128)
+
+    def _grow(self, rows):
+        a, b, c = self.abc
+        new = np.empty((len(a), min(2 * rows.shape[1] + 62, _HYP_MAX_TERMS + 1)), complex)
+        new[:, :rows.shape[1]], coeff = rows, rows[:, -1]
+        for k in range(rows.shape[1] - 1, new.shape[1] - 1):
+            coeff = coeff * ((a + k) * (b + k)) / ((c + k) * (k + 1.0))
+            new[:, k + 1] = coeff
+        self.rows = new  # one assignment: a reader never sees half-grown rows
+        return new
+
+    def __call__(self, z):
+        zmax = float(np.max(z)) if len(z) else 0.0
+        rows, k, zpow, partial, small = self.rows, 1, 1.0, self.rows[:, 0], False
+        while True:  # the stop rule, 64 terms at a time
+            if k >= rows.shape[1]:
+                if rows.shape[1] > _HYP_MAX_TERMS:
+                    raise ConvergenceError("hyp2f1: no convergence within term budget")
+                rows = self._grow(rows)
+            block = rows[:, k:k + 64]
+            zp = np.multiply.accumulate(np.r_[zpow, np.full(block.shape[1], zmax)])[1:]
+            sums = np.add.accumulate(
+                np.concatenate([partial[:, None], block * zp], axis=1), axis=1)[:, 1:]
+            ok = np.r_[small, np.all(np.abs(block) * zp
+                                     <= 5e-17 * (np.abs(sums) + 1e-300), axis=0)]
+            stop = np.flatnonzero(ok[1:] & ok[:-1])
+            if stop.size:
                 break
-        else:
-            small_runs = 0
-    else:
-        raise ConvergenceError("hyp2f1: no convergence within term budget")
-    rmat = np.stack(rows, axis=1)  # (m, K)
-    vand = np.vander(z, N=rmat.shape[1], increasing=True).T  # (K, n) real
-    return rmat.real @ vand + 1j * (rmat.imag @ vand)
+            k, zpow, partial, small = k + block.shape[1], zp[-1], sums[:, -1], ok[-1]
+        rmat = rows[:, :k + stop[0] + 1]
+        vand = np.vander(z, N=rmat.shape[1], increasing=True).T  # (K, n) real
+        return rmat.real @ vand + 1j * (rmat.imag @ vand)
 
 
-def _hyp2f1_routed(a, b, c, z) -> np.ndarray:
-    """2F1 on parameter rows a, b, c (complex, shape (m,)) x real z (n,),
-    returning (m, n), every series summed by _hyp2f1_rows_times_vandermonde.
+class _Hyp2f1Plan:
+    """2F1 on parameter rows a, b, c (complex, shape (m,)), applied to real
+    abscissas z (n,) in [0, 1) as an (m, n) matrix; the node side (pole check,
+    series rows, connection coefficients) is built once for every batch.
     Direct series for z <= 0.75; the 1-z connection formula (DLMF 15.8.4)
-    above, which controls the z -> 1 cancellation.  When some row's c-a-b
-    sits within 1e-3 of an integer (the connection coefficients blow up
-    there) the direct series serves up to z <= 0.95; beyond, it raises.
+    above, which controls the z -> 1 cancellation, built the first time a
+    batch reaches it.  When some row's c-a-b sits within 1e-3 of an integer
+    (the connection coefficients blow up there) the direct series serves up
+    to z <= 0.95; beyond, it raises.
     """
-    a, b, c = (np.atleast_1d(np.asarray(p, dtype=np.complex128)) for p in (a, b, c))
-    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    if np.any(z < 0.0) or np.any(z >= 1.0):
-        raise DomainError("hyp2f1: z must lie in [0, 1)")
-    if _near_nonpositive_integer(c, 1e-12):
-        raise PoleProximityError("hyp2f1: a row's c is within 1e-12 of a pole")
-    out = np.empty((len(a), len(z)), dtype=np.complex128)
-    lo = z <= 0.75
-    if lo.any():
-        out[:, lo] = _hyp2f1_rows_times_vandermonde(a, b, c, z[lo])
-    hi = ~lo
-    if hi.any():
-        d = c - a - b
-        dist = np.abs(d - np.round(d.real))
-        if np.any(dist < 1e-3):
-            if np.all(z[hi] <= 0.95):
-                out[:, hi] = _hyp2f1_rows_times_vandermonde(a, b, c, z[hi])
-                return out
-            raise ConvergenceError(
-                "hyp2f1: z > 0.95 with c-a-b within 1e-3 of an integer "
-                "is not supported")
-        om = 1.0 - z[hi]
-        coef1 = (gamma_array(c) * gamma_array(d)
-                 * rgamma_array(c - a) * rgamma_array(c - b))
-        coef2 = (gamma_array(c) * gamma_array(-d)
-                 * rgamma_array(a) * rgamma_array(b))
-        f1 = _hyp2f1_rows_times_vandermonde(a, b, a + b - c + 1.0, om)
-        f2 = _hyp2f1_rows_times_vandermonde(c - a, c - b, c - a - b + 1.0, om)
-        out[:, hi] = coef1[:, None] * f1 \
-            + coef2[:, None] * np.exp(np.outer(d, np.log(om))) * f2
-    return out
+
+    def __init__(self, a, b, c):
+        a, b, c = (np.atleast_1d(np.asarray(p, dtype=np.complex128)) for p in (a, b, c))
+        if _near_nonpositive_integer(c, 1e-12):
+            raise PoleProximityError("hyp2f1: a row's c is within 1e-12 of a pole")
+        self.abc = a, b, c
+        self.direct = _SeriesRows(a, b, c)
+        self._connection = None  # (c - a - b, None on a near-integer row, else its series)
+
+    def __call__(self, z) -> np.ndarray:
+        z = np.atleast_1d(np.asarray(z, dtype=np.float64))
+        if np.any(z < 0.0) or np.any(z >= 1.0):
+            raise DomainError("hyp2f1: z must lie in [0, 1)")
+        a, b, c = self.abc
+        out = np.empty((len(a), len(z)), dtype=np.complex128)
+        lo = z <= 0.75
+        if lo.any():
+            out[:, lo] = self.direct(z[lo])
+        hi = ~lo
+        if hi.any():
+            if self._connection is None:
+                d = c - a - b
+                self._connection = d, None if np.any(np.abs(d - np.round(d.real)) < 1e-3) else (
+                    gamma_array(c) * gamma_array(d) * rgamma_array(c - a) * rgamma_array(c - b),
+                    gamma_array(c) * gamma_array(-d) * rgamma_array(a) * rgamma_array(b),
+                    _SeriesRows(a, b, a + b - c + 1.0), _SeriesRows(c - a, c - b, d + 1.0))
+            d, series = self._connection
+            if series is None:
+                if np.all(z[hi] <= 0.95):
+                    out[:, hi] = self.direct(z[hi])
+                    return out
+                raise ConvergenceError(
+                    "hyp2f1: z > 0.95 with c-a-b within 1e-3 of an integer "
+                    "is not supported")
+            coef1, coef2, f1, f2 = series
+            om = 1.0 - z[hi]
+            out[:, hi] = coef1[:, None] * f1(om) \
+                + coef2[:, None] * np.exp(np.outer(d, np.log(om))) * f2(om)
+        return out
 
 
 def hyp2f1_real_z(a, b, c, z):
     """2F1(a,b;c;z) for complex scalar parameters and real z array in [0, 1).
 
-    One row of the router behind hyp2f1_matrix."""
-    out = _hyp2f1_routed(a, b, c, z)[0]
+    One row of the plan behind hyp2f1_matrix."""
+    out = _Hyp2f1Plan(a, b, c)(z)[0]
     return complex(out[0]) if np.ndim(z) == 0 else out
 
 
@@ -438,10 +460,10 @@ def hyp2f1_matrix(a, b, c, z) -> np.ndarray:
     """2F1 on the outer product of parameter rows and abscissa columns.
 
     a, b, c: complex arrays of shape (m,) (one parameter triple per row);
-    z: real array of shape (n,) in [0, 1).  Returns (m, n).  The contour
-    solver's hot path.
+    z: real array of shape (n,) in [0, 1).  Returns (m, n).  A plan built
+    and applied once; the contour solver keeps its plans across batches.
     """
-    return _hyp2f1_routed(a, b, c, z)
+    return _Hyp2f1Plan(a, b, c)(z)
 
 
 def gauss_2f1(a, b, c, z) -> complex:

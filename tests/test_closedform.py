@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
+from weberorr import closedform
 from weberorr import specfun as sf
 from weberorr.closedform import (F_nu_bound, F_nu_closed, F_nu_closed_batch,
                                  F_nu_oracle, calibrate_bound_constant,
@@ -92,6 +93,16 @@ class TestClosedForm:
         for i, s in enumerate(svals):
             for j, x in enumerate(xs):
                 assert rel_err(mat[i, j], F_nu_closed(P75, x, s).total) <= 5e-11
+
+    def test_node_memo_keys_on_the_parameters(self, monkeypatch):
+        # the node side is kept for the last (nu, a, nodes): the same nodes
+        # under another a or nu must not reuse it
+        svals = -0.8 + 1j * np.linspace(-16.0, 16.0, 33)
+        xs = np.array([1.6, 2.5, 4.0])
+        for params in (P75, KernelParams(-0.75, 1.5), KernelParams(-0.6, 1.5), P75):
+            got = fnu_matrix(params, svals, xs)
+            monkeypatch.setattr(closedform, "_node_memo", None)
+            assert np.array_equal(got, fnu_matrix(params, svals, xs))
 
     def test_derivative_matches_finite_difference(self):
         xs = np.array([1.7, 2.4, 6.0])

@@ -243,6 +243,65 @@ class TestHyp2F1:
         with pytest.raises(ConvergenceError):
             sf.gauss_2f1(0.5, 0.5, 2.0 + 1e-9, 0.97)
 
+    @staticmethod
+    def _series_loop(a, b, c, z):
+        """The direct series term by term: stop after two terms in a row
+        under 5e-17 |partial sum| at max z on every row."""
+        coeff = np.ones(len(a), dtype=np.complex128)
+        rows, probe_sum, zpow, small_runs, zmax = [coeff], coeff.copy(), 1.0, 0, float(np.max(z))
+        for k in range(sf._HYP_MAX_TERMS):
+            coeff = coeff * ((a + k) * (b + k)) / ((c + k) * (k + 1.0))
+            rows.append(coeff)
+            zpow *= zmax
+            probe_sum = probe_sum + coeff * zpow
+            small = np.all(np.abs(coeff) * zpow <= 5e-17 * (np.abs(probe_sum) + 1e-300))
+            small_runs = small_runs + 1 if small else 0
+            if small_runs >= 2:
+                break
+        rmat = np.stack(rows, axis=1)
+        vand = np.vander(z, N=rmat.shape[1], increasing=True).T
+        return rmat.real @ vand + 1j * (rmat.imag @ vand)
+
+    def test_series_rows_match_the_term_loop(self):
+        # the cached rows replay the loop's stop rule, 64 terms a block
+        s = -0.875 + 1j * np.linspace(-16.0, 16.0, 65)
+        rows = (1 - s / 2, 0.25 - s / 2, np.full_like(s, 1.25))
+        series = sf._SeriesRows(*rows)
+        for z in (np.array([0.75, 0.3]), np.array([0.0]), np.array([0.01, 0.2]), np.array([0.7])):
+            assert np.array_equal(series(z), self._series_loop(*rows, z))
+
+    def test_plan_reuse_matches_a_fresh_plan(self):
+        # the closed form's factor-1 rows on a 16-wide contour: a kept plan
+        # grows its rows for a larger z after a smaller one, and builds its
+        # connection series the first time a batch passes 0.75; every batch
+        # must come out bitwise as a fresh plan gives it
+        s = -0.875 + 1j * np.linspace(-16.0, 16.0, 65)
+        rows = (1 - s / 2, 0.25 - s / 2, np.full_like(s, 1.25))
+        small, large, high = np.array([0.02, 0.1]), np.array([0.3, 0.75]), np.array([0.5, 0.9])
+        plan = sf._Hyp2f1Plan(*rows)
+        widths = []
+        for i, z in enumerate((small, large, high, small)):
+            assert np.array_equal(plan(z), sf._Hyp2f1Plan(*rows)(z))
+            widths.append(plan.direct.rows.shape[1])
+            assert (plan._connection is None) == (i < 2)
+        assert widths[1] > widths[0]
+        plan = sf._Hyp2f1Plan(*rows)
+        for z in (high, small, large):
+            assert np.array_equal(plan(z), sf._Hyp2f1Plan(*rows)(z))
+            assert plan._connection is not None
+
+    def test_term_budget(self, monkeypatch):
+        # 2F1(1, 1; 2; 0.7) needs about 100 terms to reach 5e-17
+        z = np.array([0.1, 0.7])
+        want = sf.hyp2f1_matrix([1.0, 0.5], [1.0, 0.5], [2.0, 2.5], z)
+        monkeypatch.setattr(sf, "_HYP_MAX_TERMS", 20)
+        with pytest.raises(ConvergenceError):
+            sf.gauss_2f1(1, 1, 2, 0.7)
+        with pytest.raises(ConvergenceError):
+            sf.hyp2f1_matrix([1.0, 0.5], [1.0, 0.5], [2.0, 2.5], z)
+        monkeypatch.setattr(sf, "_HYP_MAX_TERMS", 400)
+        assert np.array_equal(sf.hyp2f1_matrix([1.0, 0.5], [1.0, 0.5], [2.0, 2.5], z), want)
+
     def test_near_integer_fallback_series(self):
         # c-a-b exactly 1: the connection formula is inadmissible but the
         # direct series still converges for z <= 0.95
