@@ -108,7 +108,7 @@ _node_memo = None  # ((nu, a, node bytes), node side) of the last node set
 def _node_side(params: KernelParams, svals: np.ndarray):
     """(g1 + g3, g2) as columns and the 2F1 plans of factors 1 and 2 on the
     nodes svals.  The contour solver sends batch after batch through one node
-    set, so the last one is kept: one entry bounds the memory."""
+    set; keeping only the last one bounds the memory."""
     global _node_memo
     key = (params.nu, params.a, svals.tobytes())
     memo = _node_memo

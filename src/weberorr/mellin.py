@@ -83,21 +83,27 @@ def _phi_values(rep: MellinRepresentation, s: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _contour_nodes(spec: ContourSpec, refine: int) -> np.ndarray:
-    """Trapezoid nodes on [-t_max, t_max] at `refine` times the level-0
-    resolution (four steps per panel)."""
-    return np.linspace(-spec.t_max, spec.t_max, 4 * spec.n_panels * refine + 1)
-
-
-def _contour_sum(fn, spec: ContourSpec, refine: int):
-    """One trapezoid pass at `refine` times the level-0 resolution:
-    (1/2 pi) h sum' fn(mu + i t_k), endpoints halved.  fn's values die with
-    the call."""
-    t = _contour_nodes(spec, refine)
-    w = np.full(t.size, t[1] - t[0])
+def _contour_nodes(spec: ContourSpec, refine: int, symmetric: bool = False):
+    """Trapezoid nodes t = k h at `refine` times the level-0 resolution (four
+    steps per panel) on [-t_max, t_max], or on [0, t_max] when symmetric,
+    with their weights, ends halved; k h keeps the halves mirror images and
+    t = 0 exact."""
+    n = 2 * spec.n_panels * refine
+    h = spec.t_max / n
+    w = np.full(n + 1 if symmetric else 2 * n + 1, h)
     w[[0, -1]] *= 0.5
+    return h * np.arange(0 if symmetric else -n, n + 1), w
+
+
+def _contour_sum(fn, spec: ContourSpec, refine: int, symmetric: bool = False):
+    """One trapezoid pass at `refine` times the level-0 resolution:
+    (1/2 pi) sum w_k fn(mu + i t_k); when symmetric, fn(conj s) = conj fn(s)
+    and the pass is (1/pi) Re of the half line's sum.  Returns the value and
+    fn's values."""
+    t, w = _contour_nodes(spec, refine, symmetric)
     vals = np.asarray(fn(spec.mu + 1j * t), dtype=np.complex128)
-    return np.tensordot(w, vals, axes=(0, 0)) / (2.0 * math.pi)
+    total = np.tensordot(w, vals, axes=(0, 0)) / (2.0 * math.pi)
+    return (2.0 * total.real + 0j if symmetric else total), vals
 
 
 def contour_integral(fn, spec: ContourSpec, abs_tol: float = 1e-10,
@@ -107,21 +113,29 @@ def contour_integral(fn, spec: ContourSpec, abs_tol: float = 1e-10,
     fn maps a complex array of contour points to values of shape (n,) or
     (n, m) (m = batched evaluation points); the report's value has shape ()
     or (m,).  Nested trapezoidal rule: each halving of the step evaluates
-    only the new odd nodes, T(h/2) = T(h)/2 + (h/2) sum fn(new).  Error =
-    halving increment + measured tail bound.  The step halves at most
-    _CONTOUR_HALVINGS times; the "refine" diagnostic is the resolution the
-    value was taken at, in multiples of the level-0 step t_max / (2 n_panels).
+    only the new odd nodes, T(h/2) = T(h)/2 + (h/2) sum fn(new).  Level 0
+    takes the whole line; where every column there has fn(mu - it) =
+    conj fn(mu + it) to rounding (a real original: the "symmetric"
+    diagnostic), the halvings and the tail probes take only t > 0 and the
+    value is real.  Error = halving increment + measured tail bound.  The
+    step halves at most _CONTOUR_HALVINGS times; the "refine" diagnostic is
+    the resolution the value was taken at, in multiples of the level-0 step
+    t_max / (2 n_panels).
     """
     mu = spec.mu
-    value = _contour_sum(fn, spec, 1)
+    value, vals = _contour_sum(fn, spec, 1)
+    cols = vals.reshape(len(vals), -1)
+    symmetric = bool(np.all(np.abs(cols[::-1] - cols.conj())
+                            <= 64 * np.finfo(float).eps * np.abs(cols).max(axis=0)))
+    value = value.real + 0j if symmetric else value
     inc = math.inf
     refine = 1
     for _ in range(_CONTOUR_HALVINGS):
         refine *= 2
-        t = _contour_nodes(spec, refine)
-        vals = np.asarray(fn(mu + 1j * t[1::2]), dtype=np.complex128)
+        t, w = _contour_nodes(spec, refine, symmetric)
+        new = np.asarray(fn(mu + 1j * t[1::2]), dtype=np.complex128).sum(axis=0)
         prev = value
-        value = 0.5 * prev + (t[1] - t[0]) / (2.0 * math.pi) * vals.sum(axis=0)
+        value = 0.5 * prev + w[1] / (2.0 * math.pi) * (2.0 * new.real if symmetric else new)
         inc = float(np.max(np.abs(value - prev)))
         scale = float(np.max(np.abs(value)))
         if inc <= 0.25 * max(abs_tol, rel_tol * scale):
@@ -134,7 +148,7 @@ def contour_integral(fn, spec: ContourSpec, abs_tol: float = 1e-10,
     t_probe = np.array([spec.t_max, 1.5 * spec.t_max, 2.0 * spec.t_max])
     tail = 0.0
     decaying = True
-    for sign in (+1.0, -1.0):
+    for sign in (+1.0,) if symmetric else (+1.0, -1.0):
         vals = np.abs(np.asarray(fn(mu + 1j * sign * t_probe), dtype=np.complex128))
         v1, v2, v3 = vals.reshape(3, -1).max(axis=1).tolist()
         if v1 <= floor and v2 <= floor and v3 <= floor:
@@ -146,6 +160,7 @@ def contour_integral(fn, spec: ContourSpec, abs_tol: float = 1e-10,
             continue
         kappa = math.log(v1 / max(v3, 1e-300)) / spec.t_max
         tail += v1 / max(kappa, 1e-300) / (2.0 * math.pi)
+    tail *= 2.0 if symmetric else 1.0  # the t < 0 side mirrors the probed one
     err = inc if math.isfinite(inc) else 0.0
     err += tail
     converged = decaying and err <= max(abs_tol, rel_tol * max(scale, abs_tol))
@@ -153,6 +168,7 @@ def contour_integral(fn, spec: ContourSpec, abs_tol: float = 1e-10,
     rep.add_diagnostic("tail_bound", tail)
     rep.add_diagnostic("panel_increment", inc if math.isfinite(inc) else 0.0)
     rep.add_diagnostic("refine", refine)
+    rep.add_diagnostic("symmetric", symmetric)
     return rep
 
 

@@ -160,21 +160,21 @@ def forward_contour(rep: MellinRepresentation, params: KernelParams, x: float,
 def _make_contour_profile(rep: MellinRepresentation, params: KernelParams,
                           matrix_fn, abs_tol: float, rel_tol: float):
     """Closure evaluating the contour integral of phi * matrix_fn over
-    t-batches.  The first call refines through contour_integral and pins the
-    trapezoid level it ended on (the integrand's analytic structure does not
-    change between batches); later calls make one pass at that level.  The
-    closure's `report` holds the first call's error estimate and converged
-    flag once it is made.
+    t-batches.  The first call refines through contour_integral and pins its
+    level and symmetry (the integrand's analytic structure does not change
+    between batches); later calls make one pass at that level, on the half
+    line if symmetric.  The closure's `report` holds the first call's error
+    estimate and converged flag once it is made.
     """
-    refine = None
+    pinned = None
 
     def profile(ts):
-        nonlocal refine
+        nonlocal pinned
         fn = _forward_integrand(rep, params, matrix_fn, ts)
-        if refine is not None:
-            return _contour_sum(fn, rep.contour, refine)
+        if pinned is not None:
+            return _contour_sum(fn, rep.contour, *pinned)[0]
         out = contour_integral(fn, rep.contour, abs_tol, rel_tol)
-        refine = int(out.diagnostic("refine"))
+        pinned = int(out.diagnostic("refine")), bool(out.diagnostic("symmetric"))
         # filled in place, so wrappers that copied the attribute see it
         vars(profile.report).update(abs_error_estimate=out.abs_error_estimate,
                                     converged=out.converged, diagnostics=out.diagnostics)

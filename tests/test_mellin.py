@@ -142,8 +142,9 @@ class TestForward:
 
 class TestContourRule:
     def test_nested_rule_evaluates_each_node_once(self):
-        # (1/2 pi i) int G(s) ds on Re s = 1/2 is e^{-1}; each halving of the
-        # step adds only the new odd nodes, and six probes bound the tail
+        # (1/2 pi i) int G(s) ds on Re s = 1/2 is e^{-1}; G(conj s) = conj G(s),
+        # so level 0 takes the whole line, each halving of the step adds only
+        # the new odd nodes with t > 0, and three probes at t > 0 bound the tail
         spec = ContourSpec(0.5, 24.0, 16)
         batches = []
 
@@ -152,15 +153,46 @@ class TestContourRule:
             return sf.gamma_array(svals)
 
         out = contour_integral(fn, spec, 1e-11, 1e-10)
-        assert out.converged
+        assert out.converged and out.diagnostic("symmetric") == 1.0
+        assert complex(out.value).imag == 0.0
         assert abs(complex(out.value) - math.exp(-1.0)) <= 1e-11
         refine = int(out.diagnostic("refine"))
-        nodes = np.concatenate(batches[:-2])
-        assert nodes.size == 4 * spec.n_panels * refine + 1
+        level0, halvings, probes = batches[0], batches[1:-1], batches[-1]
+        assert np.allclose(level0, np.linspace(-spec.t_max, spec.t_max, 4 * spec.n_panels + 1))
+        assert len(halvings) == int(math.log2(refine))
+        new = np.concatenate(halvings)
+        assert np.all(new > 0.0)
+        nodes = np.concatenate([level0, new])
         assert np.unique(nodes).size == nodes.size
+        upper = np.sort(nodes[nodes >= 0.0])
+        assert upper.size == 2 * spec.n_panels * refine + 1
         step = spec.t_max / (2 * spec.n_panels * refine)
-        assert np.allclose(np.sort(nodes), np.arange(-spec.t_max, spec.t_max + step / 2, step))
+        assert np.allclose(upper, np.arange(0.0, spec.t_max + step / 2, step))
+        assert probes.size == 3 and np.all(probes >= spec.t_max)
+
+    def test_asymmetric_integrand_takes_the_full_line(self):
+        # (1/2 pi i) int G(s) z^{-s} ds = e^{-z}; at z = e^{0.3 i} the integrand
+        # is not conjugate symmetric, so every halving and the tail probes take
+        # both halves.  In a batch, one asymmetric column is enough.
+        spec = ContourSpec(0.5, 30.0, 16)
+        z = complex(math.cos(0.3), math.sin(0.3))
+        batches = []
+
+        def fn(svals):
+            batches.append(svals.imag.copy())
+            g = sf.gamma_array(svals)
+            return np.stack([g, g * np.exp(-0.3j * svals)], axis=1)
+
+        out = contour_integral(fn, spec, 1e-12, 1e-11)
+        assert out.converged and out.diagnostic("symmetric") == 0.0
+        assert abs(out.value[0] - math.exp(-1.0)) <= 1e-11
+        assert abs(out.value[1] - np.exp(-z)) <= 1e-11
+        assert all(np.any(b < 0.0) for b in batches[:-2])
+        assert np.all(batches[-2] > 0.0) and np.all(batches[-1] < 0.0)
         assert [b.size for b in batches[-2:]] == [3, 3]
+        alone = contour_integral(lambda s: fn(s)[:, 1], spec, 1e-12, 1e-11)
+        assert alone.diagnostic("symmetric") == 0.0
+        assert abs(complex(alone.value) - np.exp(-z)) <= 1e-11
 
 
 class TestInverse:

@@ -193,10 +193,11 @@ class TestInverse:
 class TestForwardProfileCost:
     def test_unsettled_profile_has_bounded_cost(self, monkeypatch):
         # tolerances no refinement can meet: the first call stops at the
-        # doubling cap and later calls stay at that level
+        # doubling cap and later calls stay at that level, on the half line
+        # t >= 0 of the conjugate-symmetric integrand
         import weberorr.solver as solver_mod
         spec = ContourSpec(mu=default_contour(P75).mu, t_max=8.0, n_panels=8)
-        cap = 4 * spec.n_panels * 16 + 1  # trapezoid nodes after four halvings
+        cap = 4 * spec.n_panels * 16 + 1  # whole-line nodes after four halvings
         rows = []
 
         def counting(params, svals, xs):
@@ -215,7 +216,7 @@ class TestForwardProfileCost:
             rows.clear()
             f(ts)
             per_call.append(sum(rows))
-        assert per_call == [cap] * 3
+        assert per_call == [2 * spec.n_panels * 16 + 1] * 3
 
 
 class TestForwardProfileReport:
