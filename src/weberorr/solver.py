@@ -328,11 +328,13 @@ def _titchmarsh_repeated(h, params: KernelParams, x: float,
     return integrate_semiinfinite_from_a(outer, a, x, cfg)
 
 
-def _deviation(recon: complex, target, x: float,
-               out: EvaluationReport) -> EvaluationReport:
-    """|recon - target(x)| with the outer integral's estimate and flag."""
+def _deviation(recon: complex, target, x: float, out: EvaluationReport,
+               scale: float = 1.0) -> EvaluationReport:
+    """|recon - target(x)| with the outer integral's estimate, times the
+    factor |scale| that recon carries, and its flag."""
     at = complex(np.asarray(target(np.array([x])), dtype=np.complex128)[0])
-    rep = EvaluationReport(abs(recon - at), out.abs_error_estimate, out.converged)
+    rep = EvaluationReport(abs(recon - at), abs(scale) * out.abs_error_estimate,
+                           out.converged)
     rep.add_diagnostic("reconstructed_re", recon.real)
     rep.add_diagnostic("target_re", at.real)
     return rep
@@ -357,7 +359,8 @@ def expansion_titchmarsh(g, params: KernelParams, x: float,
     out = _titchmarsh_repeated(lambda xi: np.asarray(g(xi), dtype=np.complex128),
                                params, x, cfg)
     jax_, yax = specfun.bessel_jy(params.nu, params.a * x)
-    return _deviation(x / (jax_ * jax_ + yax * yax) * complex(out.value), g, x, out)
+    scale = x / (jax_ * jax_ + yax * yax)
+    return _deviation(scale * complex(out.value), g, x, out, scale)
 
 
 def expansion_weber_orr(f, params: KernelParams, x: float, variant: int,

@@ -371,6 +371,8 @@ class TestExpansions:
                                max_half_periods=64)
         out = expansion_titchmarsh(FAM21.phi, p, 2.0, cfg)
         assert float(np.real(out.value)) <= 1e-3
+        # the estimate carries the x / (J^2 + Y^2)(a x) factor of the value
+        assert out.abs_error_estimate >= float(np.real(out.value))
 
     def test_titchmarsh_tolerance_trend(self):
         # tighter inner tolerance does not worsen the reconstruction
