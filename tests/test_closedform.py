@@ -104,6 +104,38 @@ class TestClosedForm:
             monkeypatch.setattr(closedform, "_node_memo", None)
             assert np.array_equal(got, fnu_matrix(params, svals, xs))
 
+    def test_node_memo_under_threads(self):
+        # threads on one node set with two (nu, a) evict each other's memo
+        # entry, and two of them share each plan while its rows grow and its
+        # connection part is built; every result must be the lone thread's
+        import sys
+        import threading
+        svals = -0.8 + 1j * np.linspace(-16.0, 16.0, 65)
+        xs_list = [np.array([1.6, 2.5]), np.array([1.01, 1.2, 9.0])]
+        params = [P75, KernelParams(-0.6, 0.9)]
+        want = {(i, j): fnu_matrix(p, svals, xs)
+                for i, p in enumerate(params) for j, xs in enumerate(xs_list)}
+        bad = []
+
+        def work(i):
+            for _ in range(10):
+                for j, xs in enumerate(xs_list):
+                    if not np.array_equal(fnu_matrix(params[i % 2], svals, xs), want[i % 2, j]):
+                        bad.append((i, j))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not bad
+
     def test_derivative_matches_finite_difference(self):
         xs = np.array([1.7, 2.4, 6.0])
         svals = np.array([-0.45 + 0.8j, -0.875 - 3.0j, -0.2 + 6.5j])
