@@ -34,8 +34,6 @@ EXIT_NONCONVERGED = 3
 EXIT_INVARIANT = 4
 EXIT_IO = 5
 
-_COMMANDS = ("eval-kernel", "eval-F", "forward", "solve", "roundtrip", "verify")
-
 
 @dataclass
 class Row:
@@ -108,36 +106,23 @@ def _parse_grid(text: str) -> list[float]:
     return vals
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
-    return out
+def _parse_family(text: str) -> dict:
+    parts = dict(tok.split("=") for tok in text.split(","))
+    if not parts.keys() <= {"p", "q"}:
+        raise ValueError("family spec takes only p and q")
+    return {f"family_{k}": (int if k == "p" else float)(v)
+            for k, v in parts.items()}
 
 
-_FILE_KEYS = {
-    "nu": float, "a": float, "x": float, "s": parse_complex,
-    "grid": _parse_grid, "family_p": int, "family_q": float,
-    "fixture": str, "tol_abs": float, "tol_rel": float,
-    "contour_mu": float, "contour_tmax": float, "panels": int,
-    "format": str, "output": str, "seed": int,
-}
-
-
-def build_config(argv: list[str]) -> RunConfig:
+def _parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
+    """The one table of settings: the command line, and a config file's
+    lines as --key=value flags."""
     parser = argparse.ArgumentParser(
-        prog="weberorr",
+        prog="weberorr", allow_abbrev=allow_abbrev,
         description="Cross-product Bessel transform toolkit: evaluate kernels "
                     "and their Mellin image, run the forward transform, invert "
                     "it, and verify the invariant suite.")
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=_RUNNERS)
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--nu", type=float)
     parser.add_argument("--a", type=float)
@@ -147,12 +132,13 @@ def build_config(argv: list[str]) -> RunConfig:
                              "leading minus is not read as an option)")
     parser.add_argument("--grid", type=_parse_grid,
                         help="comma-separated increasing abscissas")
-    parser.add_argument("--family", help="p=2,q=1 style test-family spec")
+    parser.add_argument("--family", type=_parse_family, action="append",
+                        help="p=2,q=1 style test-family spec")
     parser.add_argument("--fixture", choices=("zero", "family"))
-    parser.add_argument("--oracle", action="store_true", default=None,
+    parser.add_argument("--oracle", action="store_true",
                         help="eval-F: use the quadrature oracle instead of "
                              "the closed form")
-    parser.add_argument("--quick", action="store_true", default=None,
+    parser.add_argument("--quick", action="store_true",
                         help="verify: skip the slow checks")
     parser.add_argument("--tol-abs", type=float, dest="tol_abs")
     parser.add_argument("--tol-rel", type=float, dest="tol_rel")
@@ -162,27 +148,43 @@ def build_config(argv: list[str]) -> RunConfig:
     parser.add_argument("--format", choices=("csv", "json"), dest="output_format")
     parser.add_argument("--output", dest="output_path")
     parser.add_argument("--seed", type=int)
-    ns = parser.parse_args(argv)
+    return parser
 
-    cfg = RunConfig(command=ns.command)
-    if ns.config:
-        for key, raw in _read_config_file(ns.config).items():
-            if key not in _FILE_KEYS:
+
+def _file_args(path: str, command: str) -> list[str]:
+    """A config file's key = value lines as --key=value flags (family_p and
+    family_q as --family=p=... and q=...), each key a flag's exact name with
+    underscores."""
+    exact, args = _parser(allow_abbrev=False), []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"bad config line: {line!r}")
+            key, val = (part.strip() for part in line.split("=", 1))
+            flag = (f"family={key[-1]}" if key in ("family_p", "family_q")
+                    else key.replace("_", "-"))
+            # the flags that no file line sets, and abbreviated or dashed keys
+            if (key in ("config", "family", "oracle", "quick") or "-" in key
+                    or exact.parse_known_args([command, f"--{flag}={val}"])[1]):
                 raise ValueError(f"unknown config key {key!r}")
-            val = _FILE_KEYS[key](raw)
-            target = {"format": "output_format", "output": "output_path"}.get(key, key)
-            setattr(cfg, target, val)
-    if ns.family:
-        parts = dict(tok.split("=") for tok in ns.family.split(","))
-        cfg.family_p = int(parts.get("p", cfg.family_p))
-        cfg.family_q = float(parts.get("q", cfg.family_q))
-    for name in ("nu", "a", "x", "s", "grid", "fixture", "oracle", "quick",
-                 "tol_abs", "tol_rel", "contour_mu", "contour_tmax", "panels",
-                 "output_format", "output_path", "seed"):
-        val = getattr(ns, name)
-        if val is not None:
-            setattr(cfg, name, val)
-    return cfg
+            args.append(f"--{flag}={val}")
+    return args
+
+
+def build_config(argv: list[str]) -> RunConfig:
+    """RunConfig from the command line; a --config file's values are parsed
+    ahead of it, so the command line overrides them."""
+    parser = _parser()
+    ns = parser.parse_args(argv)
+    if ns.config:
+        ns = parser.parse_args(_file_args(ns.config, ns.command) + argv)
+    settings = vars(ns)
+    del settings["config"]
+    family = {k: v for part in settings.pop("family") or () for k, v in part.items()}
+    return RunConfig(**family, **{k: v for k, v in settings.items() if v is not None})
 
 
 def _fmt(v: float) -> str:
@@ -228,37 +230,32 @@ def emit_report(rows: list[Row], output_format: str, path: str | None,
     return text
 
 
-def _run_eval_kernel(cfg: RunConfig) -> list[Row]:
+def _run_eval_kernel(cfg: RunConfig) -> tuple[list[Row], int]:
     params = cfg.params()
-    rows = []
-    for lam in cfg.grid:
-        val = weber_kernel(params, cfg.x, lam)
-        rows.append(Row({"nu": cfg.nu, "a": cfg.a, "x": cfg.x, "lambda": lam},
-                        complex(val), 0.0, True))
-    return rows
+    return [Row({"nu": cfg.nu, "a": cfg.a, "x": cfg.x, "lambda": lam},
+                complex(weber_kernel(params, cfg.x, lam)), 0.0, True)
+            for lam in cfg.grid], EXIT_OK
 
 
-def _run_eval_f(cfg: RunConfig) -> list[Row]:
+def _run_eval_f(cfg: RunConfig) -> tuple[list[Row], int]:
     params = cfg.params()
     inputs = {"nu": cfg.nu, "a": cfg.a, "x": cfg.x,
               "s_re": cfg.s.real, "s_im": cfg.s.imag}
     if cfg.oracle:
         rep = F_nu_oracle(params, cfg.x, cfg.s, cfg.quadrature())
         return [Row(inputs, complex(rep.value), rep.abs_error_estimate,
-                    rep.converged)]
+                    rep.converged)], EXIT_OK
     breakdown = F_nu_closed(params, cfg.x, cfg.s)
     return [Row(inputs, breakdown.total, 0.0,
-                not breakdown.cancellation_suspect)]
+                not breakdown.cancellation_suspect)], EXIT_OK
 
 
 def _family_setup(cfg: RunConfig):
-    params = cfg.params()
     fam = TestFunctionFamily(cfg.family_p, cfg.family_q)
-    rep = fam.representation(cfg.contour())
-    return params, fam, rep
+    return cfg.params(), fam, fam.representation(cfg.contour())
 
 
-def _run_forward(cfg: RunConfig) -> list[Row]:
+def _run_forward(cfg: RunConfig) -> tuple[list[Row], int]:
     params, fam, rep = _family_setup(cfg)
     xs = [x for x in cfg.grid if x > params.a]
     if not xs:
@@ -267,10 +264,10 @@ def _run_forward(cfg: RunConfig) -> list[Row]:
                                   cfg.tol_rel)
     return [Row({"nu": cfg.nu, "a": cfg.a, "x": x}, complex(v),
                 out.abs_error_estimate, out.converged)
-            for x, v in zip(xs, out.value)]
+            for x, v in zip(xs, out.value)], EXIT_OK
 
 
-def _run_solve(cfg: RunConfig) -> list[Row]:
+def _run_solve(cfg: RunConfig) -> tuple[list[Row], int]:
     params, fam, rep = _family_setup(cfg)
     qcfg = cfg.quadrature()
     if cfg.fixture == "zero":
@@ -278,30 +275,26 @@ def _run_solve(cfg: RunConfig) -> list[Row]:
                                      dtype=np.complex128)
     else:
         f = make_forward_function(rep, params, cfg.tol_abs, cfg.tol_rel)
-    rows = []
-    for lam in cfg.grid:
-        rep_out = inverse_solve(f, params, lam, qcfg)
-        rows.append(Row({"nu": cfg.nu, "a": cfg.a, "lambda": lam},
-                        complex(rep_out.value), rep_out.abs_error_estimate,
-                        rep_out.converged))
-    return rows
+    outs = [inverse_solve(f, params, lam, qcfg) for lam in cfg.grid]
+    return [Row({"nu": cfg.nu, "a": cfg.a, "lambda": lam}, complex(out.value),
+                out.abs_error_estimate, out.converged)
+            for lam, out in zip(cfg.grid, outs)], EXIT_OK
 
 
-def _run_roundtrip(cfg: RunConfig) -> tuple[list[Row], float]:
+def _run_roundtrip(cfg: RunConfig) -> tuple[list[Row], int]:
     params, fam, rep = _family_setup(cfg)
     qcfg = cfg.quadrature()
     f = make_forward_function(rep, params, cfg.tol_abs, cfg.tol_rel)
-    rows = []
-    worst = 0.0
+    rows, worst = [], 0.0
     for lam in cfg.grid:
         rep_out = inverse_solve(f, params, lam, qcfg)
         exact = complex(fam.phi(lam))
         err = abs(complex(rep_out.value) - exact)
-        rel = err / max(abs(exact), 1e-300)
-        worst = max(worst, rel)
+        worst = max(worst, err / max(abs(exact), 1e-300))
         rows.append(Row({"lambda": lam, "phi_exact_re": exact.real},
                         complex(rep_out.value), err, rep_out.converged))
-    return rows, worst
+    print(f"roundtrip max relative error: {worst:.3e}")
+    return rows, EXIT_INVARIANT if worst > 1e-4 else EXIT_OK
 
 
 def _verify_checks(cfg: RunConfig):
@@ -390,9 +383,10 @@ def _verify_checks(cfg: RunConfig):
     ]
 
     if not cfg.quick:
+        fam = TestFunctionFamily(2, 1.0)
+        rep = fam.representation(default_contour(params))
+
         def roundtrip_check():
-            fam = TestFunctionFamily(2, 1.0)
-            rep = fam.representation(default_contour(params))
             f = make_forward_function(rep, params)
             worst = 0.0
             conv = True
@@ -404,8 +398,6 @@ def _verify_checks(cfg: RunConfig):
             return worst, 1e-4, conv
 
         def cross_form():
-            fam = TestFunctionFamily(2, 1.0)
-            rep = fam.representation(default_contour(params))
             f = make_forward_function(rep, params)
             fp = make_forward_derivative_function(rep, params)
             r1 = inverse_solve(f, params, 1.0, qcfg)
@@ -432,27 +424,17 @@ def _run_verify(cfg: RunConfig) -> tuple[list[Row], int]:
     return rows, status
 
 
+_RUNNERS = {"eval-kernel": _run_eval_kernel, "eval-F": _run_eval_f,
+            "forward": _run_forward, "solve": _run_solve,
+            "roundtrip": _run_roundtrip, "verify": _run_verify}
+
+
 def run(cfg: RunConfig) -> int:
     """Execute the configured command; emits the report, returns exit code."""
     try:
-        status = EXIT_OK
-        if cfg.command == "eval-kernel":
-            rows = _run_eval_kernel(cfg)
-        elif cfg.command == "eval-F":
-            rows = _run_eval_f(cfg)
-        elif cfg.command == "forward":
-            rows = _run_forward(cfg)
-        elif cfg.command == "solve":
-            rows = _run_solve(cfg)
-        elif cfg.command == "roundtrip":
-            rows, worst = _run_roundtrip(cfg)
-            print(f"roundtrip max relative error: {worst:.3e}")
-            if worst > 1e-4:
-                status = EXIT_INVARIANT
-        elif cfg.command == "verify":
-            rows, status = _run_verify(cfg)
-        else:
+        if cfg.command not in _RUNNERS:
             raise ValueError(f"unknown command {cfg.command!r}")
+        rows, status = _RUNNERS[cfg.command](cfg)
     except (WeberOrrError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG if isinstance(exc, ValueError) else EXIT_NONCONVERGED

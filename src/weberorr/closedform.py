@@ -107,16 +107,21 @@ _node_memo = None  # ((nu, a, node bytes), node side) of the last node set
 
 def _node_side(params: KernelParams, svals: np.ndarray):
     """(g1 + g3, g2) as columns and the 2F1 plans of factors 1 and 2 on the
-    nodes svals.  The contour solver sends batch after batch through one node
-    set; keeping only the last one bounds the memory."""
+    nodes svals, then the x-derivative's: for each factor the a b / c column
+    and the plan at (a + 1, b + 1, c + 1).  A plan's rows grow only on first
+    use.  The contour solver sends batch after batch through one node set;
+    keeping only the last one bounds the memory."""
     global _node_memo
     key = (params.nu, params.a, svals.tobytes())
     memo = _node_memo
     if memo is not None and memo[0] == key:
         return memo[1]
     g1, g2, g3 = _prefactors_matrix(params, svals)
-    plans = [specfun._Hyp2f1Plan(*rows) for rows in _hyp_rows(params.nu, svals)]
-    side = ((g1 + g3)[:, None], g2[:, None], *plans)
+    rows = _hyp_rows(params.nu, svals)
+    side = ((g1 + g3)[:, None], g2[:, None],
+            *(specfun._Hyp2f1Plan(a, b, c) for a, b, c in rows),
+            *((a * b / c)[:, None] for a, b, c in rows),
+            *(specfun._Hyp2f1Plan(a + 1, b + 1, c + 1) for a, b, c in rows))
     _node_memo = (key, side)
     return side
 
@@ -127,7 +132,7 @@ def _terms(params: KernelParams, svals: np.ndarray, xs: np.ndarray):
     h2 on the (nodes, abscissas) matrix."""
     nu = params.nu
     z = (params.a / xs) ** 2
-    g13, g2, plan13, plan2 = _node_side(params, svals)
+    g13, g2, plan13, plan2 = _node_side(params, svals)[:4]
     ln_x = np.log(xs)
     p13 = np.exp(np.outer(svals - nu - 2.0, ln_x))
     p2 = np.exp(np.outer(svals + nu, ln_x))
@@ -147,15 +152,15 @@ def fnu_matrix(params: KernelParams, svals, xs) -> np.ndarray:
 
 def fnu_dx_matrix(params: KernelParams, svals, xs) -> np.ndarray:
     """x-derivative of the closed form on the same outer-product layout.
-    Differentiates the powers and the 2F1 arguments; two extra 2F1 calls at
-    shifted parameters."""
+    Differentiates the powers and the 2F1 arguments; two extra 2F1 factors at
+    shifted parameters, whose plans the node side keeps."""
     svals, xs = _checked(params, svals, xs)
     g13, g2, p13, h13, p2, h2 = _terms(params, svals, xs)
     nu, z = params.nu, (params.a / xs) ** 2
     dz_dx = -2.0 * z / xs
-    (a13, b13, c13), (a2, b2, c2) = _hyp_rows(nu, svals)
-    h13p = (a13 * b13 / c13)[:, None] * specfun.hyp2f1_matrix(a13 + 1, b13 + 1, c13 + 1, z)
-    h2p = (a2 * b2 / c2)[:, None] * specfun.hyp2f1_matrix(a2 + 1, b2 + 1, c2 + 1, z)
+    ab13, ab2, plan13p, plan2p = _node_side(params, svals)[4:]
+    h13p = ab13 * plan13p(z)
+    h2p = ab2 * plan2p(z)
     e13 = (svals - nu - 2.0)[:, None]
     e2 = (svals + nu)[:, None]
     return (g13 * p13 * (e13 / xs * h13 + h13p * dz_dx)

@@ -136,6 +136,20 @@ class TestClosedForm:
         assert not any(t.is_alive() for t in threads)
         assert not bad
 
+    def test_derivative_plans_kept_across_batches(self, monkeypatch):
+        # the node side keeps the derivative's shifted plans: batch after
+        # batch (rows grown by a larger z, the connection part built by the
+        # first z past 0.75) must equal a fresh node side, bitwise
+        svals = -0.8 + 1j * np.linspace(-16.0, 16.0, 33)
+        monkeypatch.setattr(closedform, "_node_memo", None)
+        for xs in (np.array([8.0, 20.0]), np.array([1.6, 3.0]),
+                   np.array([1.02, 1.1, 2.0]), np.array([5.0, 1.3])):
+            got = fnu_dx_matrix(P75, svals, xs)
+            kept = closedform._node_memo
+            monkeypatch.setattr(closedform, "_node_memo", None)
+            assert np.array_equal(got, fnu_dx_matrix(P75, svals, xs))
+            monkeypatch.setattr(closedform, "_node_memo", kept)
+
     def test_derivative_matches_finite_difference(self):
         xs = np.array([1.7, 2.4, 6.0])
         svals = np.array([-0.45 + 0.8j, -0.875 - 3.0j, -0.2 + 6.5j])
