@@ -56,7 +56,7 @@ class FnuTermBreakdown:
 
 def _checked(params: KernelParams, svals, xs):
     """The closed form's domain: solver order, the strip -1 < Re s < 0, the
-    |s| >= 0.05 guard around the s = 0 pole of Gamma(-s/2), and x > a.
+    |s| >= 0.05 guard around the s = 0 pole of Gamma(-s/2), and finite x > a.
     Returns svals and xs as 1-d complex and real arrays."""
     params.require_solver_order()
     svals = np.atleast_1d(np.asarray(svals, dtype=np.complex128))
@@ -65,8 +65,8 @@ def _checked(params: KernelParams, svals, xs):
     if float(np.min(np.abs(svals))) < _POLE_RADIUS:
         raise PoleProximityError("closed form: s too close to the s = 0 pole")
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    if np.any(xs <= params.a):
-        raise DomainError("closed form: requires x > a")
+    if not np.all((xs > params.a) & np.isfinite(xs)):
+        raise DomainError("closed form: requires finite x > a")
     return svals, xs
 
 
@@ -77,13 +77,6 @@ _HYP_PARAM_TRIPLES = {
     2: lambda nu, s: (-nu - s / 2, -s / 2, -nu),
     3: lambda nu, s: (1 + nu - s / 2, 1 - s / 2, 2 + nu),
 }
-
-
-def _hyp_rows(nu: float, svals: np.ndarray):
-    """Parameter rows of factors 1 and 2 for hyp2f1_matrix, c repeated."""
-    return [(a_, b_, np.full_like(svals, c_))
-            for a_, b_, c_ in (_HYP_PARAM_TRIPLES[1](nu, svals),
-                               _HYP_PARAM_TRIPLES[2](nu, svals))]
 
 
 def _prefactors_matrix(params: KernelParams, svals: np.ndarray):
@@ -106,65 +99,48 @@ _node_memo = None  # ((nu, a, node bytes), node side) of the last node set
 
 
 def _node_side(params: KernelParams, svals: np.ndarray):
-    """(g1 + g3, g2) as columns and the 2F1 plans of factors 1 and 2 on the
-    nodes svals, then the x-derivative's: for each factor the a b / c column
-    and the plan at (a + 1, b + 1, c + 1).  A plan's rows grow only on first
-    use.  The contour solver sends batch after batch through one node set;
-    keeping only the last one bounds the memory."""
+    """2F1 sums (c - a - b = s) of the closed form, its factors prescaled by
+    g1 + g3 and g2, and of its x-derivative, which adds their x exponents and
+    their plans at (a + 1, b + 1, c + 1) times a b / c.  The contour solver
+    sends batch after batch through one node set; keeping only the last one
+    bounds the memory."""
     global _node_memo
     key = (params.nu, params.a, svals.tobytes())
     memo = _node_memo
     if memo is not None and memo[0] == key:
         return memo[1]
-    g1, g2, g3 = _prefactors_matrix(params, svals)
-    rows = _hyp_rows(params.nu, svals)
-    side = ((g1 + g3)[:, None], g2[:, None],
-            *(specfun._Hyp2f1Plan(a, b, c) for a, b, c in rows),
-            *((a * b / c)[:, None] for a, b, c in rows),
-            *(specfun._Hyp2f1Plan(a + 1, b + 1, c + 1) for a, b, c in rows))
+    nu, (g1, g2, g3) = params.nu, _prefactors_matrix(params, svals)
+    rows = [_HYP_PARAM_TRIPLES[f](nu, svals) for f in (1, 2)]
+    plans = [specfun._Hyp2f1Plan(a, b, c) for a, b, c in rows]
+    shifted = [specfun._Hyp2f1Plan(a + 1, b + 1, c + 1) for a, b, c in rows]
+    dx_scales = [(g1 + g3) * (svals - nu - 2.0), g2 * (svals + nu),
+                 *(g * a * b / c for g, (a, b, c) in zip((g1 + g3, g2), rows))]
+    side = (specfun._Hyp2f1Sum(plans, [g1 + g3, g2], svals, [0, 0]),
+            specfun._Hyp2f1Sum(plans + shifted, dx_scales, svals, [0, 0, 1, 1]))
     _node_memo = (key, side)
     return side
-
-
-def _terms(params: KernelParams, svals: np.ndarray, xs: np.ndarray):
-    """Factors of the closed form on checked nodes and abscissas:
-    (g1 + g3, g2) as columns, the x powers p13, p2 and the 2F1 factors h13,
-    h2 on the (nodes, abscissas) matrix."""
-    nu = params.nu
-    z = (params.a / xs) ** 2
-    g13, g2, plan13, plan2 = _node_side(params, svals)[:4]
-    ln_x = np.log(xs)
-    p13 = np.exp(np.outer(svals - nu - 2.0, ln_x))
-    p2 = np.exp(np.outer(svals + nu, ln_x))
-    return g13, g2, p13, plan13(z), p2, plan2(z)
 
 
 def fnu_matrix(params: KernelParams, svals, xs) -> np.ndarray:
     """Closed form on the outer product contour-nodes x abscissas.
 
     svals: (m,) complex points inside the strip; xs: (n,) reals > a.
-    Returns the (m, n) matrix F(x_j, s_i) - the contour solver evaluates
-    whole quadrature batches through this in a handful of numpy passes.
+    Returns the (m, n) matrix F(x_j, s_i) = x^s [(g1 + g3) x^{-nu-2} h1(z)
+    + g2 x^nu h2(z)], z = a^2/x^2, for whole contour quadrature batches.
     """
-    g13, g2, p13, h13, p2, h2 = _terms(params, *_checked(params, svals, xs))
-    return g13 * p13 * h13 + g2 * p2 * h2
+    svals, xs = _checked(params, svals, xs)
+    nu, z = params.nu, (params.a / xs) ** 2
+    return _node_side(params, svals)[0](z, [xs ** (-nu - 2.0), xs ** nu], np.log(xs))
 
 
 def fnu_dx_matrix(params: KernelParams, svals, xs) -> np.ndarray:
     """x-derivative of the closed form on the same outer-product layout.
-    Differentiates the powers and the 2F1 arguments; two extra 2F1 factors at
-    shifted parameters, whose plans the node side keeps."""
+    Differentiates the powers and the 2F1 arguments (dz/dx = -2 z / x); the
+    two extra 2F1 factors at shifted parameters share the value's rows."""
     svals, xs = _checked(params, svals, xs)
-    g13, g2, p13, h13, p2, h2 = _terms(params, svals, xs)
     nu, z = params.nu, (params.a / xs) ** 2
-    dz_dx = -2.0 * z / xs
-    ab13, ab2, plan13p, plan2p = _node_side(params, svals)[4:]
-    h13p = ab13 * plan13p(z)
-    h2p = ab2 * plan2p(z)
-    e13 = (svals - nu - 2.0)[:, None]
-    e2 = (svals + nu)[:, None]
-    return (g13 * p13 * (e13 / xs * h13 + h13p * dz_dx)
-            + g2 * p2 * (e2 / xs * h2 + h2p * dz_dx))
+    p1, p2 = xs ** (-nu - 3.0), xs ** (nu - 1.0)
+    return _node_side(params, svals)[1](z, [p1, p2, -2 * z * p1, -2 * z * p2], np.log(xs))
 
 
 def F_nu_closed_batch(params: KernelParams, xs, s) -> np.ndarray:

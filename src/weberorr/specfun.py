@@ -25,6 +25,7 @@ _SERIES_MAX_TERMS = 600
 _HYP_MAX_TERMS = 10_000
 _CF1_MAX_TERMS = 10_000
 _INTEGER_ORDER_TOL = 1e-8
+_TINY = np.finfo(np.float64).tiny  # smallest normal double
 
 # Lanczos g=607/128, 15 coefficients (Godfrey).  Double-precision optimal:
 # measured worst relative error 8.8e-14 on |Re s|<=10, |Im s|<=100.
@@ -354,15 +355,28 @@ def bessel_jy(nu: float, x):
 # Gauss 2F1
 # ----------------------------------------------------------------------
 
+def _ladder_step(zmax: float):
+    """(j, z_j): the smallest step z_j = 0.75^(1.25^j) >= zmax of a ladder
+    geometric in ln z, for 0 < zmax < 1; (None, 0.0) for zmax = 0."""
+    if zmax == 0.0:
+        return None, 0.0
+    ln_top = math.log(0.75)
+    j = math.floor(math.log(math.log(zmax) / ln_top, 1.25))
+    while (step := math.exp(ln_top * 1.25 ** j)) < zmax:
+        j -= 1
+    return j, step
+
+
 class _SeriesRows:
-    """Coefficient rows R_k of sum_k R_k(i) z^k, grown on demand, applied to
-    abscissas z as (rows) @ (Vandermonde of z) in one BLAS pass.  The series
-    stops where a term-by-term loop at the largest z would: after two terms
-    in a row under 5e-17 |partial sum| on every row."""
+    """Coefficient rows R_k of sum_k R_k(i) z^k, grown on demand.  A batch
+    takes the term count of a loop at its ladder step (the smallest one at or
+    above its largest z) that stops after two terms in a row under 5e-17
+    |partial sum| on every row, replayed once per step."""
 
     def __init__(self, a, b, c):
         self.abc = a, b, c
         self.rows = np.ones((len(a), 1), dtype=np.complex128)
+        self.counts = {}  # ladder step index -> term count
 
     def _grow(self, rows):
         a, b, c = self.abc
@@ -374,10 +388,10 @@ class _SeriesRows:
         self.rows = new  # one assignment: a reader never sees half-grown rows
         return new
 
-    def __call__(self, z):
-        zmax = float(np.max(z)) if len(z) else 0.0
+    def replay(self, zmax: float) -> int:
+        """Term count of the stop rule at zmax, 64 terms at a time."""
         rows, k, zpow, partial, small = self.rows, 1, 1.0, self.rows[:, 0], False
-        while True:  # the stop rule, 64 terms at a time
+        while True:
             if k >= rows.shape[1]:
                 if rows.shape[1] > _HYP_MAX_TERMS:
                     raise ConvergenceError("hyp2f1: no convergence within term budget")
@@ -390,23 +404,24 @@ class _SeriesRows:
                                      <= 5e-17 * (np.abs(sums) + 1e-300), axis=0)]
             stop = np.flatnonzero(ok[1:] & ok[:-1])
             if stop.size:
-                break
+                return k + int(stop[0]) + 1
             k, zpow, partial, small = k + block.shape[1], zp[-1], sums[:, -1], ok[-1]
-        rmat = rows[:, :k + stop[0] + 1]
-        vand = np.vander(z, N=rmat.shape[1], increasing=True).T  # (K, n) real
-        return rmat.real @ vand + 1j * (rmat.imag @ vand)
+
+    def terms(self, step) -> int:  # at the ladder step (j, z_j)
+        count = self.counts.get(step[0])
+        if count is None:
+            count = self.replay(step[1])
+            self.counts = {**self.counts, step[0]: count}  # one assignment
+        return count
 
 
 class _Hyp2f1Plan:
-    """2F1 on parameter rows a, b, c (complex, shape (m,)), applied to real
-    abscissas z (n,) in [0, 1) as an (m, n) matrix; the node side (pole check,
-    series rows, connection coefficients) is built once for every batch.
-    Direct series for z <= 0.75; the 1-z connection formula (DLMF 15.8.4)
-    above, which controls the z -> 1 cancellation, built the first time a
-    batch reaches it.  When some row's c-a-b sits within 1e-3 of an integer
-    (the connection coefficients blow up there) the direct series serves up
-    to z <= 0.95; beyond, it raises.
-    """
+    """2F1 on parameter rows a, b, c (complex, shape (m,)) at real abscissas
+    z in [0, 1): the pole check, the direct series (z <= 0.75) and the 1-z
+    connection formula (DLMF 15.8.4, z > 0.75), which controls the z -> 1
+    cancellation and is built the first time a batch reaches it.  When some
+    row's c-a-b sits within 1e-3 of an integer (the connection coefficients
+    blow up there) the direct series serves up to z <= 0.95."""
 
     def __init__(self, a, b, c):
         a, b, c = (np.atleast_1d(np.asarray(p, dtype=np.complex128)) for p in (a, b, c))
@@ -414,37 +429,84 @@ class _Hyp2f1Plan:
             raise PoleProximityError("hyp2f1: a row's c is within 1e-12 of a pole")
         self.abc = a, b, c
         self.direct = _SeriesRows(a, b, c)
-        self._connection = None  # (c - a - b, None on a near-integer row, else its series)
+        self._connection = None  # False (returned as None) on a near-integer row
+
+    def connection(self):
+        """(coef1, coef2, F1, F2): 2F1 = coef1 F1(1-z) + coef2 (1-z)^{c-a-b} F2(1-z)."""
+        if self._connection is None:
+            a, b, c = self.abc
+            d = c - a - b
+            self._connection = False if np.any(np.abs(d - np.round(d.real)) < 1e-3) else (
+                gamma_array(c) * gamma_array(d) * rgamma_array(c - a) * rgamma_array(c - b),
+                gamma_array(c) * gamma_array(-d) * rgamma_array(a) * rgamma_array(b),
+                _SeriesRows(a, b, a + b - c + 1.0), _SeriesRows(c - a, c - b, d + 1.0))
+        return self._connection or None
 
     def __call__(self, z) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-        if np.any(z < 0.0) or np.any(z >= 1.0):
-            raise DomainError("hyp2f1: z must lie in [0, 1)")
         a, b, c = self.abc
-        out = np.empty((len(a), len(z)), dtype=np.complex128)
-        lo = z <= 0.75
+        z = np.atleast_1d(np.asarray(z, dtype=np.float64))
+        return _Hyp2f1Sum([self], [np.ones(len(a))], c - a - b, [0])(
+            z, [np.ones(len(z))], np.zeros(len(z)))
+
+
+class _Hyp2f1Sum:
+    """sum_f g_f(i) 2F1(a_f(i), b_f(i); c_f(i); z_j) col_f(j) e^{d(i) L_j}
+    over plans f with c - a - b = d - shift_f.  On each route (the direct
+    series; the regular and the (1-z)^d parts of the connection) the plans'
+    rows, prescaled by g_f and the connection coefficients, stand side by
+    side as [Re; Im] rows of one real matrix kept per ladder step, applied
+    to the stacked Vandermonde blocks times col_f in one product.  Then one
+    exponential per cell on the direct route, e^{d L} H, and two on the
+    connection route, e^{d L} A + e^{d (L + ln(1-z))} B."""
+
+    def __init__(self, plans, scales, d, shifts):
+        self.plans, self.scales, self.d, self.shifts = plans, scales, d, shifts
+        self._stacked = {}  # (route, ladder step index) -> (matrix, term counts)
+
+    def _part(self, route, mask, u, cols, log_col):
+        """e^{d L} times the route's sum on the columns in mask, at u (z, or
+        1 - z on the connection), with L = log_col; complex (m, n)."""
+        if route == "direct":
+            factors = [(g, p.direct, 0) for g, p in zip(self.scales, self.plans)]
+        else:  # coefficient, series and power of 1 - z of the part, per plan
+            parts = [(c[0], c[2], 0) if route == "regular" else (c[1], c[3], -n)
+                     for c, n in zip((p.connection() for p in self.plans), self.shifts)]
+            factors = [(g * coef, series, n) for g, (coef, series, n) in zip(self.scales, parts)]
+        step = _ladder_step(float(np.max(u)))
+        kept = self._stacked.get((route, step[0]))
+        if kept is None:
+            counts = [s.terms(step) for _, s, _ in factors]
+            rows = np.concatenate([g[:, None] * s.rows[:, :k]
+                                   for (g, s, _), k in zip(factors, counts)], axis=1)
+            kept = np.concatenate([rows.real, rows.imag]), counts
+            self._stacked = {**self._stacked, (route, step[0]): kept}  # one assignment
+        mat, counts = kept
+        vand = np.vander(u, N=max(counts), increasing=True).T
+        # a subnormal power costs a microcode assist in each of the 2m dot
+        # products that take it (6.7x on a 514 x 412 by 412 x 59 product);
+        # flushed, it drops a term under 1e-290 |sum| unless |R_k| > 1e290 |sum|
+        vand[vand < _TINY] = 0.0
+        out = mat @ np.concatenate([vand[:k] * (c[mask] * u ** n if n else c[mask])
+                                    for (_, _, n), k, c in zip(factors, counts, cols)])
+        m = len(self.d)
+        return np.exp(np.outer(self.d, log_col)) * (out[:m] + 1j * out[m:])
+
+    def __call__(self, z, cols, lead) -> np.ndarray:
+        """The sum at z (n,) in [0, 1) with col_f = cols[f] and L = lead."""
+        if not np.all((z >= 0.0) & (z < 1.0)):
+            raise DomainError("hyp2f1: z must lie in [0, 1)")
+        near = np.any(z > 0.75) and any(p.connection() is None for p in self.plans)
+        lo = z <= (0.95 if near else 0.75)
+        if near and not lo.all():
+            raise ConvergenceError(
+                "hyp2f1: z > 0.95 with c-a-b within 1e-3 of an integer is not supported")
+        out, hi = np.empty((len(self.d), len(z)), dtype=complex), ~lo
         if lo.any():
-            out[:, lo] = self.direct(z[lo])
-        hi = ~lo
+            out[:, lo] = self._part("direct", lo, z[lo], cols, lead[lo])
         if hi.any():
-            if self._connection is None:
-                d = c - a - b
-                self._connection = d, None if np.any(np.abs(d - np.round(d.real)) < 1e-3) else (
-                    gamma_array(c) * gamma_array(d) * rgamma_array(c - a) * rgamma_array(c - b),
-                    gamma_array(c) * gamma_array(-d) * rgamma_array(a) * rgamma_array(b),
-                    _SeriesRows(a, b, a + b - c + 1.0), _SeriesRows(c - a, c - b, d + 1.0))
-            d, series = self._connection
-            if series is None:
-                if np.all(z[hi] <= 0.95):
-                    out[:, hi] = self.direct(z[hi])
-                    return out
-                raise ConvergenceError(
-                    "hyp2f1: z > 0.95 with c-a-b within 1e-3 of an integer "
-                    "is not supported")
-            coef1, coef2, f1, f2 = series
-            om = 1.0 - z[hi]
-            out[:, hi] = coef1[:, None] * f1(om) \
-                + coef2[:, None] * np.exp(np.outer(d, np.log(om))) * f2(om)
+            w = 1.0 - z[hi]
+            out[:, hi] = (self._part("regular", hi, w, cols, lead[hi])
+                          + self._part("singular", hi, w, cols, lead[hi] + np.log(w)))
         return out
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import _frozen
 from conftest import rel_err
 from weberorr import closedform
 from weberorr import specfun as sf
@@ -106,22 +107,27 @@ class TestClosedForm:
 
     def test_node_memo_under_threads(self):
         # threads on one node set with two (nu, a) evict each other's memo
-        # entry, and two of them share each plan while its rows grow and its
-        # connection part is built; every result must be the lone thread's
+        # entry, and two of them share each plan while its rows grow, its
+        # connection part is built and new ladder steps get their term counts
+        # and stacked rows on both routes, for the value and the derivative;
+        # every result must be the lone thread's
         import sys
         import threading
         svals = -0.8 + 1j * np.linspace(-16.0, 16.0, 65)
-        xs_list = [np.array([1.6, 2.5]), np.array([1.01, 1.2, 9.0])]
+        xs_list = [np.array([1.6, 2.5]), np.array([1.01, 1.2, 9.0]),
+                   np.array([1.05, 3.0]), np.array([1.3, 1.1])]
         params = [P75, KernelParams(-0.6, 0.9)]
-        want = {(i, j): fnu_matrix(p, svals, xs)
-                for i, p in enumerate(params) for j, xs in enumerate(xs_list)}
+        fns = (fnu_matrix, fnu_dx_matrix)
+        want = {(i, j, k): fn(p, svals, xs) for i, p in enumerate(params)
+                for j, xs in enumerate(xs_list) for k, fn in enumerate(fns)}
         bad = []
 
         def work(i):
-            for _ in range(10):
+            for _ in range(6):
                 for j, xs in enumerate(xs_list):
-                    if not np.array_equal(fnu_matrix(params[i % 2], svals, xs), want[i % 2, j]):
-                        bad.append((i, j))
+                    for k, fn in enumerate(fns):
+                        if not np.array_equal(fn(params[i % 2], svals, xs), want[i % 2, j, k]):
+                            bad.append((i, j, k))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -136,6 +142,36 @@ class TestClosedForm:
         assert not any(t.is_alive() for t in threads)
         assert not bad
 
+    def test_seen_ladder_step_replays_nothing(self, monkeypatch):
+        # a second batch whose largest z (direct route) and largest 1 - z
+        # (connection route) fall on the steps of the first takes the kept
+        # term counts and stacked rows: no replay of the stop rule
+        svals = -0.8 + 1j * np.linspace(-16.0, 16.0, 65)
+        first, second = np.array([1.2, 1.02, 5.0]), np.array([1.21, 1.03, 2.0])
+        assert len({(sf._ladder_step(xs[0] ** -2)[0], sf._ladder_step(1 - xs[1] ** -2)[0])
+                    for xs in (first, second)}) == 1
+        monkeypatch.setattr(closedform, "_node_memo", None)
+        fnu_matrix(P75, svals, first)
+        value = closedform._node_side(P75, svals)[0]
+        kept = dict(value._stacked)
+        replays = []
+        monkeypatch.setattr(sf._SeriesRows, "replay", lambda *args: replays.append(args))
+        got = fnu_matrix(P75, svals, second)
+        assert not replays and value._stacked == kept
+        monkeypatch.undo()
+        monkeypatch.setattr(closedform, "_node_memo", None)
+        assert np.array_equal(got, fnu_matrix(P75, svals, second))
+
+    def test_non_finite_abscissa(self, monkeypatch):
+        # NaN and inf abscissas are rejected before the node side is built
+        monkeypatch.setattr(closedform, "_node_memo", None)
+        svals = -0.8 + 1j * np.linspace(-16.0, 16.0, 65)
+        for fn in (fnu_matrix, fnu_dx_matrix):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(DomainError):
+                    fn(P75, svals, [2.0, bad])
+        assert closedform._node_memo is None
+
     def test_derivative_plans_kept_across_batches(self, monkeypatch):
         # the node side keeps the derivative's shifted plans: batch after
         # batch (rows grown by a larger z, the connection part built by the
@@ -149,6 +185,25 @@ class TestClosedForm:
             monkeypatch.setattr(closedform, "_node_memo", None)
             assert np.array_equal(got, fnu_dx_matrix(P75, svals, xs))
             monkeypatch.setattr(closedform, "_node_memo", kept)
+
+    def test_matrix_against_frozen_grid(self):
+        # mpmath's closed form and x-derivative on default-contour nodes:
+        # 1e-12 relative where |Im s| <= 8 and 1 - z >= 1e-3; 5e-9 where the
+        # direct series cancels (|Im s| up to 16 near z = 0.75) and where the
+        # rounding of z = a^2/x^2 carries into (1 - z)^s near x = a
+        grid = _frozen.CLOSED_FORM_GRID
+        for nu, a in sorted({entry[:2] for entry in grid}):
+            entries = [e for e in grid if e[:2] == (nu, a)]
+            svals = np.array(sorted({e[3] for e in entries}, key=lambda s: s.imag))
+            xs = np.array(sorted({e[2] for e in entries}))
+            p = KernelParams(nu, a)
+            value, dx = fnu_matrix(p, svals, xs), fnu_dx_matrix(p, svals, xs)
+            for _, _, x, s, f, df in entries:
+                i, j = int(np.flatnonzero(svals == s)[0]), int(np.flatnonzero(xs == x)[0])
+                tight = abs(s.imag) <= 8.0 and 1.0 - (a / x) ** 2 >= 1e-3
+                bound = 1e-12 if tight else 5e-9
+                assert rel_err(value[i, j], f) <= bound, (nu, a, x, s)
+                assert rel_err(dx[i, j], df) <= bound, (nu, a, x, s)
 
     def test_derivative_matches_finite_difference(self):
         xs = np.array([1.7, 2.4, 6.0])

@@ -242,13 +242,29 @@ class TestHyp2F1:
         # near-integer c-a-b with z too close to 1 for the series fallback
         with pytest.raises(ConvergenceError):
             sf.gauss_2f1(0.5, 0.5, 2.0 + 1e-9, 0.97)
+        # a NaN abscissa lies outside [0, 1): rejected before any rows grow
+        with pytest.raises(DomainError):
+            sf.hyp2f1_matrix([0.5, 0.5], [0.3, 0.3], [1.5, 2.5], [0.3, np.nan])
+        plan = sf._Hyp2f1Plan([0.5, 0.5], [0.3, 0.3], [1.5, 2.5])
+        with pytest.raises(DomainError):
+            plan(np.array([0.3, np.nan]))
+        assert plan.direct.rows.shape[1] == 1 and not plan.direct.counts
 
     @staticmethod
     def _series_loop(a, b, c, z):
         """The direct series term by term: stop after two terms in a row
-        under 5e-17 |partial sum| at max z on every row."""
+        under 5e-17 |partial sum| on every row, at the batch's ladder step
+        (the smallest 0.75^(1.25^j) at or above max z)."""
+        zmax = float(np.max(z))
+        if zmax > 0.0:
+            j = 0
+            while 0.75 ** (1.25 ** (j + 1)) >= zmax:
+                j += 1
+            while 0.75 ** (1.25 ** j) < zmax:
+                j -= 1
+            zmax = 0.75 ** (1.25 ** j)
         coeff = np.ones(len(a), dtype=np.complex128)
-        rows, probe_sum, zpow, small_runs, zmax = [coeff], coeff.copy(), 1.0, 0, float(np.max(z))
+        rows, probe_sum, zpow, small_runs = [coeff], coeff.copy(), 1.0, 0
         for k in range(sf._HYP_MAX_TERMS):
             coeff = coeff * ((a + k) * (b + k)) / ((c + k) * (k + 1.0))
             rows.append(coeff)
@@ -260,15 +276,43 @@ class TestHyp2F1:
                 break
         rmat = np.stack(rows, axis=1)
         vand = np.vander(z, N=rmat.shape[1], increasing=True).T
-        return rmat.real @ vand + 1j * (rmat.imag @ vand)
+        # the real and imaginary rows stacked in one product, as the plan
+        # takes them (BLAS may round a taller product differently)
+        out = np.concatenate([rmat.real, rmat.imag]) @ vand
+        return out[:len(a)] + 1j * out[len(a):]
 
     def test_series_rows_match_the_term_loop(self):
-        # the cached rows replay the loop's stop rule, 64 terms a block
+        # the plan's direct route replays the loop's stop rule at the ladder
+        # step, 64 terms a block, and applies the rows it keeps
         s = -0.875 + 1j * np.linspace(-16.0, 16.0, 65)
         rows = (1 - s / 2, 0.25 - s / 2, np.full_like(s, 1.25))
-        series = sf._SeriesRows(*rows)
-        for z in (np.array([0.75, 0.3]), np.array([0.0]), np.array([0.01, 0.2]), np.array([0.7])):
-            assert np.array_equal(series(z), self._series_loop(*rows, z))
+        plan = sf._Hyp2f1Plan(*rows)
+        for z in (np.array([0.75, 0.3]), np.array([0.0]), np.array([0.01, 0.2]),
+                  np.array([0.7]), np.array([0.69, 0.5])):
+            assert np.array_equal(plan(z), self._series_loop(*rows, z))
+
+    def test_ladder_count_covers_the_exact_rule(self, monkeypatch):
+        # the term count at a batch's ladder step is never below the stop
+        # rule replayed at the batch's own largest z: the closed form's rows
+        # on a 257-node contour, direct series on (0, 0.75], connection
+        # series on (0, 0.25]
+        from weberorr import closedform
+        s = -0.875 + 1j * np.linspace(-16.0, 16.0, 257)
+        zs = np.geomspace(1e-4, 1.0, 200)
+        for f in (1, 2):
+            a, b, c = closedform._HYP_PARAM_TRIPLES[f](-0.75, s)
+            plan = sf._Hyp2f1Plan(a, b, c)
+            _, _, f1, f2 = plan.connection()
+            for series, top in ((plan.direct, 0.75), (f1, 0.25), (f2, 0.25)):
+                for zmax in top * zs:
+                    exact = series.replay(zmax)
+                    assert series.terms(sf._ladder_step(zmax)) >= exact, zmax
+                assert len(series.counts) < 40
+        # a step already seen takes its kept count without a replay
+        seen = {zmax: series.terms(sf._ladder_step(zmax)) for zmax in (0.2, 1e-3)}
+        monkeypatch.setattr(sf._SeriesRows, "replay", lambda *args: pytest.fail("replayed"))
+        for zmax, count in seen.items():
+            assert series.terms(sf._ladder_step(zmax)) == count
 
     def test_plan_reuse_matches_a_fresh_plan(self):
         # the closed form's factor-1 rows on a 16-wide contour: a kept plan

@@ -60,8 +60,10 @@ def f17(v):
     return mp.nstr(v, 17, strip_zeros=False)
 
 
-def closed_form_F(nu, a, x, s):
-    """F(x, s) of weberorr.closedform: three gamma/2F1 terms, mpmath 2F1."""
+def closed_form_F(nu, a, x, s, dx=False):
+    """F(x, s) of weberorr.closedform: three gamma/2F1 terms, mpmath 2F1;
+    with dx, its x-derivative (d/dz 2F1(a, b; c; z) = a b / c 2F1 at a + 1,
+    b + 1, c + 1, and dz/dx = -2 z / x)."""
     z = (a / x) ** 2
     two_ms = mp.power(2, -s)
     g1 = two_ms * a ** (nu + 1) / mp.pi * mp.cospi(nu) * mp.gamma(-nu - 1) \
@@ -72,7 +74,16 @@ def closed_form_F(nu, a, x, s):
         * mp.gamma(nu + 1 - s / 2) * mp.gamma(1 - s / 2) * mp.rgamma(2 + nu)
     h13 = mp.hyp2f1(1 - s / 2, 1 + nu - s / 2, 2 + nu, z)
     h2 = mp.hyp2f1(-nu - s / 2, -s / 2, -nu, z)
-    return (g1 + g3) * x ** (s - nu - 2) * h13 + g2 * x ** (s + nu) * h2
+    if not dx:
+        return (g1 + g3) * x ** (s - nu - 2) * h13 + g2 * x ** (s + nu) * h2
+
+    def dh_dx(p, q, r):
+        return p * q / r * mp.hyp2f1(p + 1, q + 1, r + 1, z) * (-2 * z / x)
+
+    e13, e2 = s - nu - 2, s + nu
+    return ((g1 + g3) * (e13 * x ** (e13 - 1) * h13
+                         + x ** e13 * dh_dx(1 - s / 2, 1 + nu - s / 2, 2 + nu))
+            + g2 * (e2 * x ** (e2 - 1) * h2 + x ** e2 * dh_dx(-nu - s / 2, -s / 2, -nu)))
 
 
 def forward_profile_contour(nu, a, x):
@@ -199,6 +210,24 @@ def main():
                     direct = forward_profile_direct(mp.mpf(nu), a, mp.mpf(x))
                     assert abs(f - direct) <= abs(f) * mp.mpf(10) ** -14, (nu, x)
                 out.append(f"    ({nu!r}, {x!r}, {f17(f)}),")
+    out.append("]")
+    out.append("")
+
+    # closed form and its x-derivative on nodes of the default contour
+    # (mu = (nu - 1)/2, |Im s| <= 16) at abscissas with x/a - 1 from 1e-6 to
+    # 1e3, on both sides of z = a^2/x^2 = 0.75 (x/a - 1 = 0.1547):
+    # (nu, a, x, s, F, dF/dx), x the double the library receives
+    out.append("CLOSED_FORM_GRID = [")
+    for nu, a in ((-0.95, 0.7), (-0.6, 1.5)):
+        for t in (-16.0, -8.0, -2.5, 0.5, 4.0, 8.0, 12.0, 16.0):
+            s = complex((nu - 1.0) / 2.0, t)
+            for d in (1e-6, 1e-4, 1e-3, 1e-2, 0.05, 0.15, 0.16, 0.3, 1.0, 10.0, 100.0, 1e3):
+                x = a * (1.0 + d)
+                args = (mp.mpf(nu), mp.mpf(a), mp.mpf(x), mp.mpc(s))
+                f, df = closed_form_F(*args), closed_form_F(*args, dx=True)
+                out.append(f"    ({nu!r}, {a!r}, {x!r}, complex({s.real!r}, {s.imag!r}),"
+                           f" complex({f17(mp.re(f))}, {f17(mp.im(f))}),"
+                           f" complex({f17(mp.re(df))}, {f17(mp.im(df))})),")
     out.append("]")
     out.append("")
 
