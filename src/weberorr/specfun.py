@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -25,6 +26,8 @@ _SERIES_MAX_TERMS = 600
 _HYP_MAX_TERMS = 10_000
 _CF1_MAX_TERMS = 10_000
 _INTEGER_ORDER_TOL = 1e-8
+_HANKEL_TERMS = 80  # t_0 .. t_79 of the large-argument expansion
+_CHUNK_CELLS = 1 << 18  # cells of one (points, terms) block of the Hankel sums, as in mellin
 _TINY = np.finfo(np.float64).tiny  # smallest normal double
 
 # Lanczos g=607/128, 15 coefficients (Godfrey).  Double-precision optimal:
@@ -219,31 +222,26 @@ def _series_jy_ld(nu: float, x_ld, want_y: bool):
 
 
 def _hankel_jy_ld(nu: float, x_ld):
-    """Large-argument expansion, min-term truncation.  x >= _hankel_xmin(nu).
+    """Large-argument expansion (DLMF 10.17.3), x >= _hankel_xmin(nu).
 
-    The P/Q coefficient sums run in float64 (all terms are <= 1, rounding is
-    ~1e-17 of the leading term); only the phase omega = x - (nu/2 + 1/4) pi
+    Min-term truncation: t_m = t_{m-1} (4 nu^2 - (2m-1)^2) / (8 m x) from
+    t_0 = 1 is kept while |t| has fallen at every step so far; P sums the even
+    terms and Q the odd ones, with signs + + - - from m = 0.  The sums run in
+    float64 (all terms are <= 1); only the phase omega = x - (nu/2 + 1/4) pi
     and the trig evaluations need the extended precision.
     """
-    mu4 = 4.0 * nu * nu
-    x64 = x_ld.astype(np.float64)
-    t = np.ones_like(x64)
-    p_sum = np.ones_like(x64)
-    q_sum = np.zeros_like(x64)
-    active = np.ones(x64.shape, dtype=bool)
-    for m in range(1, 80):
-        t_new = t * ((mu4 - (2 * m - 1) ** 2) / (8.0 * m)) / x64
-        grew = np.abs(t_new) >= np.abs(t)
-        active = active & ~grew
-        if not active.any():
-            break
-        t = np.where(active, t_new, 0.0)
-        j = m // 2
-        sgn = -1.0 if j % 2 == 1 else 1.0
-        if m % 2 == 0:
-            p_sum = p_sum + sgn * t
-        else:
-            q_sum = q_sum + sgn * t
+    m = np.arange(1, _HANKEL_TERMS)
+    ratio = (4.0 * nu * nu - (2 * m - 1) ** 2) / (8.0 * m)
+    signs = np.resize([1.0, 1.0, -1.0, -1.0], _HANKEL_TERMS)
+    p_sum, q_sum = np.empty((2, len(x_ld)))
+    step = _CHUNK_CELLS // _HANKEL_TERMS
+    for i in range(0, len(x_ld), step):
+        x = x_ld[i:i + step, None].astype(np.float64)
+        # one row per point: its reductions round alike in any batch
+        t = np.hstack([np.ones_like(x), np.cumprod(ratio / x, axis=1)])
+        t[:, 1:] *= np.logical_and.accumulate(np.abs(t[:, 1:]) < np.abs(t[:, :-1]), axis=1)
+        t *= signs
+        p_sum[i:i + step], q_sum[i:i + step] = t[:, 0::2].sum(axis=1), t[:, 1::2].sum(axis=1)
     omega = x_ld - _LD(nu / 2.0 + 0.25) * _PI_LD
     pref = np.sqrt(_LD(2.0) / (_PI_LD * x_ld))
     cw, sw = np.cos(omega), np.sin(omega)
@@ -311,7 +309,7 @@ def _bessel_jy_impl(nu: float, x, want_y: bool):
     arr = np.atleast_1d(arr)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise DomainError("bessel: argument must be finite and > 0")
-    if abs(nu) > SUPPORTED_ORDER_MAX:
+    if not abs(nu) <= SUPPORTED_ORDER_MAX:  # NaN fails this too
         raise DomainError(f"bessel: |order| <= {SUPPORTED_ORDER_MAX:g} supported, got {nu}")
 
     j_out = np.empty_like(arr)
@@ -368,44 +366,43 @@ def _ladder_step(zmax: float):
 
 
 class _SeriesRows:
-    """Coefficient rows R_k of sum_k R_k(i) z^k, grown on demand.  A batch
-    takes the term count of a loop at its ladder step (the smallest one at or
-    above its largest z) that stops after two terms in a row under 5e-17
-    |partial sum| on every row, replayed once per step."""
+    """Coefficient rows R_k of sum_k R_k(i) z^k, grown by the 64-term block
+    the replay reads next.  A batch takes the term count of a loop at its
+    ladder step (the smallest one at or above its largest z) that stops after
+    two terms in a row under 5e-17 |partial sum| on every row, replayed once
+    per step."""
 
     def __init__(self, a, b, c):
         self.abc = a, b, c
         self.rows = np.ones((len(a), 1), dtype=np.complex128)
         self.counts = {}  # ladder step index -> term count
-
-    def _grow(self, rows):
-        a, b, c = self.abc
-        new = np.empty((len(a), min(2 * rows.shape[1] + 62, _HYP_MAX_TERMS + 1)), complex)
-        new[:, :rows.shape[1]], coeff = rows, rows[:, -1]
-        for k in range(rows.shape[1] - 1, new.shape[1] - 1):
-            coeff = coeff * ((a + k) * (b + k)) / ((c + k) * (k + 1.0))
-            new[:, k + 1] = coeff
-        self.rows = new  # one assignment: a reader never sees half-grown rows
-        return new
+        self._lock = threading.Lock()
 
     def replay(self, zmax: float) -> int:
         """Term count of the stop rule at zmax, 64 terms at a time."""
-        rows, k, zpow, partial, small = self.rows, 1, 1.0, self.rows[:, 0], False
-        while True:
-            if k >= rows.shape[1]:
-                if rows.shape[1] > _HYP_MAX_TERMS:
-                    raise ConvergenceError("hyp2f1: no convergence within term budget")
-                rows = self._grow(rows)
-            block = rows[:, k:k + 64]
-            zp = np.multiply.accumulate(np.r_[zpow, np.full(block.shape[1], zmax)])[1:]
-            sums = np.add.accumulate(
-                np.concatenate([partial[:, None], block * zp], axis=1), axis=1)[:, 1:]
-            ok = np.r_[small, np.all(np.abs(block) * zp
-                                     <= 5e-17 * (np.abs(sums) + 1e-300), axis=0)]
-            stop = np.flatnonzero(ok[1:] & ok[:-1])
-            if stop.size:
-                return k + int(stop[0]) + 1
-            k, zpow, partial, small = k + block.shape[1], zp[-1], sums[:, -1], ok[-1]
+        with self._lock:  # one at a time: rows grown from a stale copy never replace wider ones
+            rows, k, zpow, partial, small = self.rows, 1, 1.0, self.rows[:, 0], False
+            while True:
+                if k >= rows.shape[1]:
+                    if k > _HYP_MAX_TERMS:
+                        raise ConvergenceError("hyp2f1: no convergence within term budget")
+                    a, b, c = self.abc
+                    new = np.empty((len(a), min(k + 64, _HYP_MAX_TERMS + 1)), complex)
+                    new[:, :k], coeff = rows, rows[:, -1]
+                    for j in range(k - 1, new.shape[1] - 1):
+                        coeff = coeff * ((a + j) * (b + j)) / ((c + j) * (j + 1.0))
+                        new[:, j + 1] = coeff
+                    rows = self.rows = new  # one assignment: a reader never sees half-grown rows
+                block = rows[:, k:k + 64]
+                zp = np.multiply.accumulate(np.r_[zpow, np.full(block.shape[1], zmax)])[1:]
+                sums = np.add.accumulate(
+                    np.concatenate([partial[:, None], block * zp], axis=1), axis=1)[:, 1:]
+                ok = np.r_[small, np.all(np.abs(block) * zp
+                                         <= 5e-17 * (np.abs(sums) + 1e-300), axis=0)]
+                stop = np.flatnonzero(ok[1:] & ok[:-1])
+                if stop.size:
+                    return k + int(stop[0]) + 1
+                k, zpow, partial, small = k + block.shape[1], zp[-1], sums[:, -1], ok[-1]
 
     def terms(self, step) -> int:  # at the ladder step (j, z_j)
         count = self.counts.get(step[0])
@@ -425,6 +422,8 @@ class _Hyp2f1Plan:
 
     def __init__(self, a, b, c):
         a, b, c = (np.atleast_1d(np.asarray(p, dtype=np.complex128)) for p in (a, b, c))
+        if not all(np.isfinite(p).all() for p in (a, b, c)):
+            raise DomainError("hyp2f1: parameters must be finite")
         if _near_nonpositive_integer(c, 1e-12):
             raise PoleProximityError("hyp2f1: a row's c is within 1e-12 of a pole")
         self.abc = a, b, c

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import _expansions
 from weberorr import specfun as sf
 from weberorr.closedform import (F_nu_bound, F_nu_closed, F_nu_oracle,
                                  calibrate_bound_constant,
@@ -23,8 +24,7 @@ from weberorr.quadrature import (ORIGIN_CUTOFF, QuadratureConfig,
                                  integrate_improper, integrate_oscillatory_tail,
                                  truncation_remainders)
 from weberorr.solver import TestFunctionFamily as BetaFamily
-from weberorr.solver import (default_contour, expansion_titchmarsh,
-                             expansion_weber_orr, inverse_solve,
+from weberorr.solver import (default_contour, inverse_solve,
                              inverse_solve_derivative_form,
                              make_forward_derivative_function,
                              make_forward_function)
@@ -248,24 +248,11 @@ class TestAcceptance:
     @pytest.mark.slow
     def test_09_expansions(self):
         """Repeated-integral expansions at relaxed nested tolerance."""
-        cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-6,
-                               max_half_periods=64)
-        p = KernelParams(0.25, 1.0)
-        fam = BetaFamily(2, 1.0)
-        dev3 = float(np.real(expansion_titchmarsh(fam.phi, p, 2.0, cfg).value))
+        dev3 = float(np.real(_expansions.titchmarsh_family().value))
         assert dev3 <= 1e-3, dev3
-
-        def bump(x):
-            x = np.asarray(x, dtype=np.float64)
-            u = (x - 2.25) / 0.75
-            out = np.zeros_like(x)
-            m = np.abs(u) < 1.0
-            out[m] = np.exp(-1.0 / (1.0 - u[m] ** 2))
-            return out
-
-        dev4 = float(np.real(expansion_weber_orr(bump, p, 2.0, 4, cfg).value))
+        dev4 = float(np.real(_expansions.weber_orr_bump(4).value))
         assert dev4 <= 1e-3, dev4
-        dev5 = float(np.real(expansion_weber_orr(bump, p, 2.0, 5, cfg).value))
+        dev5 = float(np.real(_expansions.weber_orr_bump(5).value))
         assert dev5 <= 1e-3, dev5
         _report(9, "expansions",
                 f"deviations: {dev3:.2e} (inverse-pair), {dev4:.2e} and "

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import _expansions
 import _frozen
 from conftest import rel_err
 from weberorr import specfun as sf
@@ -366,10 +367,7 @@ class TestExpansions:
         assert out.value == 0.0
 
     def test_titchmarsh_family(self):
-        p = KernelParams(0.25, 1.0)
-        cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-6,
-                               max_half_periods=64)
-        out = expansion_titchmarsh(FAM21.phi, p, 2.0, cfg)
+        out = _expansions.titchmarsh_family()
         assert float(np.real(out.value)) <= 1e-3
         # the estimate carries the x / (J^2 + Y^2)(a x) factor of the value
         assert out.abs_error_estimate >= float(np.real(out.value))
@@ -379,12 +377,9 @@ class TestExpansions:
         p = KernelParams(0.25, 1.0)
         loose = QuadratureConfig(abs_tol=1e-4, rel_tol=1e-3,
                                  max_half_periods=32, acceleration_depth=6)
-        tight = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-6,
-                                 max_half_periods=64)
         dev_loose = float(np.real(expansion_titchmarsh(FAM21.phi, p, 2.0,
                                                        loose).value))
-        dev_tight = float(np.real(expansion_titchmarsh(FAM21.phi, p, 2.0,
-                                                       tight).value))
+        dev_tight = float(np.real(_expansions.titchmarsh_family().value))
         assert dev_tight <= dev_loose
 
     def test_titchmarsh_order_range(self):
@@ -392,12 +387,8 @@ class TestExpansions:
             expansion_titchmarsh(FAM21.phi, P75, 2.0)
 
     def test_weber_orr_bump(self):
-        p = KernelParams(0.25, 1.0)
-        bump = BumpFunction(1.5, 3.0)
-        cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-6,
-                               max_half_periods=64)
         for variant in (4, 5):
-            out = expansion_weber_orr(bump, p, 2.0, variant, cfg)
+            out = _expansions.weber_orr_bump(variant)
             # the converged flag may stay conservative at these relaxed
             # settings; the acceptance bar is the deviation itself
             assert float(np.real(out.value)) <= 1e-3, variant

@@ -69,6 +69,58 @@ class TestBesselConformance:
             for i, xi in enumerate(x):
                 assert (j[i], y[i]) == sf.bessel_jy(nu, float(xi)), (nu, xi)
 
+    @staticmethod
+    def _hankel_loop(nu, x):
+        """J and Y of the large-argument expansion (DLMF 10.17.3) point by
+        point: t_m = t_{m-1} (4 nu^2 - (2m-1)^2) / (8 m x) from t_0 = 1 is
+        added while |t_m| < |t_{m-1}|, the even terms to P and the odd ones
+        to Q, with signs + + - - from m = 0."""
+        out = []
+        for xi in x:
+            t, p, q = 1.0, 1.0, 0.0
+            for m in range(1, 80):
+                t_new = t * ((4.0 * nu * nu - (2 * m - 1) ** 2) / (8.0 * m)) / xi
+                if abs(t_new) >= abs(t):
+                    break
+                t = t_new
+                sign = -1.0 if (m // 2) % 2 else 1.0
+                if m % 2:
+                    q += sign * t
+                else:
+                    p += sign * t
+            x_ld = sf._LD(xi)
+            omega = x_ld - sf._LD(nu / 2.0 + 0.25) * sf._PI_LD
+            pref = np.sqrt(sf._LD(2.0) / (sf._PI_LD * x_ld))
+            cw, sw = np.cos(omega), np.sin(omega)
+            out.append((float(pref * (cw * p - sw * q)), float(pref * (sw * p + cw * q))))
+        return np.array(out).T
+
+    def test_hankel_sums_match_the_term_loop(self):
+        # every term vanishes at nu = +-1/2; x just above 16; the largest
+        # orders from the branch's edge x = 0.85 nu^2 up
+        cases = [(0.5, [16.0, 30.0, 2500.0]), (-0.5, [16.5, 700.0]),
+                 (-0.95, [np.nextafter(16.0, 17.0), 16.001, 17.0, 5e4]),
+                 (0.25, [np.nextafter(16.0, 17.0), 40.0, 1e3]),
+                 (4.3, [16.0, 20.0])]
+        cases += [(nu, 0.85 * nu * nu * np.array([1.0, 1.01, 1.5, 4.0, 40.0]))
+                  for nu in (49.6, -49.6, 20.3)]
+        for nu, x in cases:
+            x = np.asarray(x, dtype=np.float64)
+            assert np.all(x >= sf._hankel_xmin(nu))
+            got = np.array(sf.bessel_jy(nu, x))
+            want = self._hankel_loop(nu, x)
+            env = np.sqrt(2.0 / (np.pi * x))
+            assert np.all(np.abs(got - want) <= 1e-15 * env), nu
+
+    def test_hankel_batch_across_chunks(self):
+        # a batch longer than one block of the P/Q sums equals its pieces
+        step = sf._CHUNK_CELLS // sf._HANKEL_TERMS
+        x = np.random.default_rng(5).uniform(16.0, 5e4, 2 * step + 7)
+        j, y = sf.bessel_jy(0.25, x)
+        for lo, hi in ((0, 5), (5, step + 3), (step + 3, len(x))):
+            jp, yp = sf.bessel_jy(0.25, x[lo:hi])
+            assert np.array_equal(j[lo:hi], jp) and np.array_equal(y[lo:hi], yp)
+
     def test_wronskian(self):
         # J_{nu+1} Y_nu - J_nu Y_{nu+1} = 2/(pi z)
         for nu in (-0.95, -0.75, -0.55):
@@ -90,6 +142,9 @@ class TestBesselConformance:
             sf.bessel_j(-0.75, -1.0)
         with pytest.raises(DomainError):
             sf.bessel_j(51.0, 1.0)
+        for nu in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                sf.bessel_jy(nu, 1.0)
         with pytest.raises(DomainError):
             sf.bessel_y(3.0, 1.0)  # integer order, series region
         with pytest.raises(DomainError):
@@ -250,6 +305,18 @@ class TestHyp2F1:
             plan(np.array([0.3, np.nan]))
         assert plan.direct.rows.shape[1] == 1 and not plan.direct.counts
 
+    def test_non_finite_parameters(self, monkeypatch):
+        # rejected before any row grows, one such row among 257 included
+        monkeypatch.setattr(sf._SeriesRows, "replay", lambda *args: pytest.fail("grew rows"))
+        a = np.full(257, 0.5 + 0.5j)
+        for bad in (np.nan, np.inf, complex(0.5, np.nan)):
+            with pytest.raises(DomainError):
+                sf.gauss_2f1(bad, 1, 2, 0.5)
+            with pytest.raises(DomainError):
+                sf.gauss_2f1(1, 1, bad, 0.5)
+            with pytest.raises(DomainError):
+                sf.hyp2f1_matrix(a, np.r_[a[:-1], bad], a + 1.0, [0.3, 0.9])
+
     @staticmethod
     def _series_loop(a, b, c, z):
         """The direct series term by term: stop after two terms in a row
@@ -333,6 +400,24 @@ class TestHyp2F1:
         for z in (high, small, large):
             assert np.array_equal(plan(z), sf._Hyp2f1Plan(*rows)(z))
             assert plan._connection is not None
+
+    def test_rows_end_one_block_past_the_largest_count(self, monkeypatch):
+        # the closed form's node side on 257 nodes after batches on the
+        # direct route up to its z = 0.75 step and past it on the connection
+        from weberorr import closedform
+        from weberorr.kernels import KernelParams
+        monkeypatch.setattr(closedform, "_node_memo", None)
+        params = KernelParams(-0.75, 1.0)
+        s = -0.875 + 1j * np.linspace(-16.0, 16.0, 257)
+        for xs in (np.array([4.0, 9.0]), np.array([1.16, 2.0]), np.array([1.01, 1.3])):
+            closedform.fnu_matrix(params, s, xs)
+            closedform.fnu_dx_matrix(params, s, xs)
+        for total in closedform._node_memo[1]:
+            for plan in total.plans:
+                assert sf._ladder_step(0.75)[0] in plan.direct.counts
+                for series in (plan.direct, *plan.connection()[2:]):
+                    width = series.rows.shape[1]
+                    assert width <= max(series.counts.values()) + 64, width
 
     def test_term_budget(self, monkeypatch):
         # 2F1(1, 1; 2; 0.7) needs about 100 terms to reach 5e-17
