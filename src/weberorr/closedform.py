@@ -17,6 +17,7 @@ the constants unspecified).
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -95,30 +96,24 @@ def _prefactors_matrix(params: KernelParams, svals: np.ndarray):
     return g1, g2, g3
 
 
-_node_memo = None  # ((nu, a, node bytes), node side) of the last node set
-
-
-def _node_side(params: KernelParams, svals: np.ndarray):
+@functools.lru_cache(maxsize=2)
+def _node_side(params: KernelParams, node_bytes: bytes):
     """2F1 sums (c - a - b = s) of the closed form, its factors prescaled by
     g1 + g3 and g2, and of its x-derivative, which adds their x exponents and
-    their plans at (a + 1, b + 1, c + 1) times a b / c.  The contour solver
-    sends batch after batch through one node set; keeping only the last one
-    bounds the memory."""
-    global _node_memo
-    key = (params.nu, params.a, svals.tobytes())
-    memo = _node_memo
-    if memo is not None and memo[0] == key:
-        return memo[1]
+    their plans at (a + 1, b + 1, c + 1) times a b / c, on the nodes with
+    complex128 bytes node_bytes, kept across the contour solver's batches.
+    Two entries: the derivative form's value and derivative closures take
+    turns on node sets at different levels; a first call's levels never come
+    back, so a third would only hold memory (about 9 MB at 257 nodes)."""
+    svals = np.frombuffer(node_bytes, dtype=np.complex128)
     nu, (g1, g2, g3) = params.nu, _prefactors_matrix(params, svals)
     rows = [_HYP_PARAM_TRIPLES[f](nu, svals) for f in (1, 2)]
     plans = [specfun._Hyp2f1Plan(a, b, c) for a, b, c in rows]
     shifted = [specfun._Hyp2f1Plan(a + 1, b + 1, c + 1) for a, b, c in rows]
     dx_scales = [(g1 + g3) * (svals - nu - 2.0), g2 * (svals + nu),
                  *(g * a * b / c for g, (a, b, c) in zip((g1 + g3, g2), rows))]
-    side = (specfun._Hyp2f1Sum(plans, [g1 + g3, g2], svals, [0, 0]),
+    return (specfun._Hyp2f1Sum(plans, [g1 + g3, g2], svals, [0, 0]),
             specfun._Hyp2f1Sum(plans + shifted, dx_scales, svals, [0, 0, 1, 1]))
-    _node_memo = (key, side)
-    return side
 
 
 def fnu_matrix(params: KernelParams, svals, xs) -> np.ndarray:
@@ -130,7 +125,7 @@ def fnu_matrix(params: KernelParams, svals, xs) -> np.ndarray:
     """
     svals, xs = _checked(params, svals, xs)
     nu, z = params.nu, (params.a / xs) ** 2
-    return _node_side(params, svals)[0](z, [xs ** (-nu - 2.0), xs ** nu], np.log(xs))
+    return _node_side(params, svals.tobytes())[0](z, [xs ** (-nu - 2.0), xs ** nu], np.log(xs))
 
 
 def fnu_dx_matrix(params: KernelParams, svals, xs) -> np.ndarray:
@@ -139,8 +134,8 @@ def fnu_dx_matrix(params: KernelParams, svals, xs) -> np.ndarray:
     two extra 2F1 factors at shifted parameters share the value's rows."""
     svals, xs = _checked(params, svals, xs)
     nu, z = params.nu, (params.a / xs) ** 2
-    p1, p2 = xs ** (-nu - 3.0), xs ** (nu - 1.0)
-    return _node_side(params, svals)[1](z, [p1, p2, -2 * z * p1, -2 * z * p2], np.log(xs))
+    p1, p2, dz = xs ** (-nu - 3.0), xs ** (nu - 1.0), -2 * z
+    return _node_side(params, svals.tobytes())[1](z, [p1, p2, dz * p1, dz * p2], np.log(xs))
 
 
 def F_nu_closed_batch(params: KernelParams, xs, s) -> np.ndarray:

@@ -44,8 +44,8 @@ class ContourSpec:
     def __post_init__(self):
         if not math.isfinite(self.mu):
             raise DomainError("ContourSpec: mu must be finite")
-        if not self.t_max > 0.0:
-            raise DomainError("ContourSpec: t_max must be > 0")
+        if not 0.0 < self.t_max < math.inf:
+            raise DomainError("ContourSpec: t_max must be finite and > 0")
         if self.n_panels < 8:
             raise DomainError("ContourSpec: n_panels must be >= 8")
 
@@ -178,6 +178,8 @@ def _log_axis_transform(f, svals, cfg: QuadratureConfig):
     each halving calling f once on its new nodes.  Error = halving increment
     + tail fit at the cuts + rounding."""
     s, h = np.atleast_1d(np.asarray(svals, dtype=np.complex128)), 0.25
+    if not np.all(np.isfinite(s)):
+        raise DomainError("mellin_forward: s must be finite")
 
     def probe(u):
         fv = np.broadcast_to(np.asarray(f(np.exp(u)), dtype=np.complex128), u.shape)
@@ -266,8 +268,8 @@ def mellin_inverse_profile(rep: MellinRepresentation, xs,
                            abs_tol: float = 1e-10, rel_tol: float = 1e-9) -> EvaluationReport:
     """Inverse transform evaluated at an array of abscissas in one pass."""
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    if np.any(xs <= 0.0):
-        raise DomainError("mellin_inverse: x must be > 0")
+    if not np.all((xs > 0.0) & np.isfinite(xs)):
+        raise DomainError("mellin_inverse: x must be finite and > 0")
     if not rep.is_member():
         raise MembershipError(
             "mellin_inverse: representation failed its class-membership flag")

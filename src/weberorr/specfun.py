@@ -370,12 +370,11 @@ class _SeriesRows:
     the replay reads next.  A batch takes the term count of a loop at its
     ladder step (the smallest one at or above its largest z) that stops after
     two terms in a row under 5e-17 |partial sum| on every row, replayed once
-    per step."""
+    per step by each sum, which keeps the count with its stacked rows."""
 
     def __init__(self, a, b, c):
         self.abc = a, b, c
         self.rows = np.ones((len(a), 1), dtype=np.complex128)
-        self.counts = {}  # ladder step index -> term count
         self._lock = threading.Lock()
 
     def replay(self, zmax: float) -> int:
@@ -403,13 +402,6 @@ class _SeriesRows:
                 if stop.size:
                     return k + int(stop[0]) + 1
                 k, zpow, partial, small = k + block.shape[1], zp[-1], sums[:, -1], ok[-1]
-
-    def terms(self, step) -> int:  # at the ladder step (j, z_j)
-        count = self.counts.get(step[0])
-        if count is None:
-            count = self.replay(step[1])
-            self.counts = {**self.counts, step[0]: count}  # one assignment
-        return count
 
 
 class _Hyp2f1Plan:
@@ -474,7 +466,7 @@ class _Hyp2f1Sum:
         step = _ladder_step(float(np.max(u)))
         kept = self._stacked.get((route, step[0]))
         if kept is None:
-            counts = [s.terms(step) for _, s, _ in factors]
+            counts = [s.replay(step[1]) for _, s, _ in factors]
             rows = np.concatenate([g[:, None] * s.rows[:, :k]
                                    for (g, s, _), k in zip(factors, counts)], axis=1)
             kept = np.concatenate([rows.real, rows.imag]), counts

@@ -95,28 +95,28 @@ class TestClosedForm:
             for j, x in enumerate(xs):
                 assert rel_err(mat[i, j], F_nu_closed(P75, x, s).total) <= 5e-11
 
-    def test_node_memo_keys_on_the_parameters(self, monkeypatch):
-        # the node side is kept for the last (nu, a, nodes): the same nodes
-        # under another a or nu must not reuse it
+    def test_node_memo_keys_on_the_parameters(self):
+        # the node side is kept for the last two (nu, a, nodes): the same
+        # nodes under another a or nu must not reuse it
         svals = -0.8 + 1j * np.linspace(-16.0, 16.0, 33)
         xs = np.array([1.6, 2.5, 4.0])
         for params in (P75, KernelParams(-0.75, 1.5), KernelParams(-0.6, 1.5), P75):
             got = fnu_matrix(params, svals, xs)
-            monkeypatch.setattr(closedform, "_node_memo", None)
+            closedform._node_side.cache_clear()
             assert np.array_equal(got, fnu_matrix(params, svals, xs))
 
     def test_node_memo_under_threads(self):
-        # threads on one node set with two (nu, a) evict each other's memo
-        # entry, and two of them share each plan while its rows grow, its
-        # connection part is built and new ladder steps get their term counts
-        # and stacked rows on both routes, for the value and the derivative;
-        # every result must be the lone thread's
+        # threads on one node set with three (nu, a) evict each other's
+        # entries from the two-entry cache, and two of them share a plan
+        # while its rows grow, its connection part is built and new ladder
+        # steps get their term counts and stacked rows on both routes, for
+        # the value and the derivative; every result must be the lone thread's
         import sys
         import threading
         svals = -0.8 + 1j * np.linspace(-16.0, 16.0, 65)
         xs_list = [np.array([1.6, 2.5]), np.array([1.01, 1.2, 9.0]),
                    np.array([1.05, 3.0]), np.array([1.3, 1.1])]
-        params = [P75, KernelParams(-0.6, 0.9)]
+        params = [P75, KernelParams(-0.6, 0.9), KernelParams(-0.7, 0.95)]
         fns = (fnu_matrix, fnu_dx_matrix)
         want = {(i, j, k): fn(p, svals, xs) for i, p in enumerate(params)
                 for j, xs in enumerate(xs_list) for k, fn in enumerate(fns)}
@@ -127,7 +127,7 @@ class TestClosedForm:
                 for j, xs in enumerate(xs_list):
                     for k, fn in enumerate(fns):
                         try:
-                            if not np.array_equal(fn(params[i % 2], svals, xs), want[i % 2, j, k]):
+                            if not np.array_equal(fn(params[i % 3], svals, xs), want[i % 3, j, k]):
                                 bad.append((i, j, k))
                         except Exception as err:  # a thread's exception fails the test too
                             bad.append((i, j, k, repr(err)))
@@ -153,41 +153,43 @@ class TestClosedForm:
         first, second = np.array([1.2, 1.02, 5.0]), np.array([1.21, 1.03, 2.0])
         assert len({(sf._ladder_step(xs[0] ** -2)[0], sf._ladder_step(1 - xs[1] ** -2)[0])
                     for xs in (first, second)}) == 1
-        monkeypatch.setattr(closedform, "_node_memo", None)
+        closedform._node_side.cache_clear()
         fnu_matrix(P75, svals, first)
-        value = closedform._node_side(P75, svals)[0]
+        value = closedform._node_side(P75, svals.tobytes())[0]
         kept = dict(value._stacked)
         replays = []
         monkeypatch.setattr(sf._SeriesRows, "replay", lambda *args: replays.append(args))
         got = fnu_matrix(P75, svals, second)
         assert not replays and value._stacked == kept
         monkeypatch.undo()
-        monkeypatch.setattr(closedform, "_node_memo", None)
+        closedform._node_side.cache_clear()
         assert np.array_equal(got, fnu_matrix(P75, svals, second))
 
-    def test_non_finite_abscissa(self, monkeypatch):
+    def test_non_finite_abscissa(self):
         # NaN and inf abscissas are rejected before the node side is built
-        monkeypatch.setattr(closedform, "_node_memo", None)
+        closedform._node_side.cache_clear()
         svals = -0.8 + 1j * np.linspace(-16.0, 16.0, 65)
         for fn in (fnu_matrix, fnu_dx_matrix):
             for bad in (np.nan, np.inf):
                 with pytest.raises(DomainError):
                     fn(P75, svals, [2.0, bad])
-        assert closedform._node_memo is None
+        assert closedform._node_side.cache_info().currsize == 0
 
-    def test_derivative_plans_kept_across_batches(self, monkeypatch):
+    def test_derivative_plans_kept_across_batches(self):
         # the node side keeps the derivative's shifted plans: batch after
         # batch (rows grown by a larger z, the connection part built by the
         # first z past 0.75) must equal a fresh node side, bitwise
         svals = -0.8 + 1j * np.linspace(-16.0, 16.0, 33)
-        monkeypatch.setattr(closedform, "_node_memo", None)
-        for xs in (np.array([8.0, 20.0]), np.array([1.6, 3.0]),
-                   np.array([1.02, 1.1, 2.0]), np.array([5.0, 1.3])):
-            got = fnu_dx_matrix(P75, svals, xs)
-            kept = closedform._node_memo
-            monkeypatch.setattr(closedform, "_node_memo", None)
-            assert np.array_equal(got, fnu_dx_matrix(P75, svals, xs))
-            monkeypatch.setattr(closedform, "_node_memo", kept)
+        batches = (np.array([8.0, 20.0]), np.array([1.6, 3.0]),
+                   np.array([1.02, 1.1, 2.0]), np.array([5.0, 1.3]))
+        fresh = []
+        for xs in batches:
+            closedform._node_side.cache_clear()
+            fresh.append(fnu_dx_matrix(P75, svals, xs))
+        closedform._node_side.cache_clear()
+        for xs, want in zip(batches, fresh):
+            assert np.array_equal(fnu_dx_matrix(P75, svals, xs), want)
+        assert closedform._node_side.cache_info()[:2] == (len(batches) - 1, 1)
 
     def test_matrix_against_frozen_grid(self):
         # mpmath's closed form and x-derivative on default-contour nodes:

@@ -37,6 +37,11 @@ class TestContourSpec:
         with pytest.raises(DomainError):
             ContourSpec(math.inf)
 
+    def test_non_finite_t_max(self):
+        for t_max in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                ContourSpec(0.5, t_max, 8)
+
 
 class TestForward:
     def test_gamma_values(self):
@@ -139,6 +144,14 @@ class TestForward:
         with pytest.raises(DomainError):
             mellin_forward(bad, 2.0, CFG)
 
+    def test_non_finite_s_rejected(self):
+        # checked before f is called
+        def f(x):
+            raise AssertionError("f called")
+        for s in (math.nan, complex(0.5, math.inf)):
+            with pytest.raises(DomainError):
+                mellin_forward(f, s, CFG)
+
 
 class TestContourRule:
     def test_nested_rule_evaluates_each_node_once(self):
@@ -234,6 +247,15 @@ class TestInverse:
         rep = MellinRepresentation(gamma_symbol, ContourSpec(0.5, 30.0, 32))
         with pytest.raises(DomainError):
             mellin_inverse(rep, 0.0)
+
+    def test_non_finite_x_rejected(self):
+        # checked before the symbol is called; inf once returned 0, converged
+        def phi(s):
+            raise AssertionError("phi called")
+        rep = MellinRepresentation(phi, ContourSpec(0.5, 30.0, 32))
+        for x in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                mellin_inverse(rep, x)
 
     def test_round_trip_family(self):
         # forward(inverse(symbol)) returns the symbol at contour points

@@ -6,6 +6,7 @@ import pytest
 import _expansions
 import _frozen
 from conftest import rel_err
+from weberorr import closedform
 from weberorr import specfun as sf
 from weberorr.errors import DomainError, MembershipError
 from weberorr.closedform import fnu_matrix
@@ -138,6 +139,19 @@ class TestInverse:
             r1 = inverse_solve(f75, P75, lam)
             r2 = inverse_solve_derivative_form(f75, fp75, P75, lam)
             assert rel_err(r1.value, r2.value) <= 1e-6, lam
+
+    def test_derivative_form_reuses_both_node_sides(self):
+        # the value closure and the derivative closure pin different levels;
+        # once both have run, a second lambda builds no node side, and its
+        # value is the one rebuilt node sides give
+        rep = _rep()
+        f, fp = make_forward_function(rep, P75), make_forward_derivative_function(rep, P75)
+        inverse_solve_derivative_form(f, fp, P75, 1.0)
+        misses = closedform._node_side.cache_info().misses
+        got = complex(inverse_solve_derivative_form(f, fp, P75, 2.0).value)
+        assert closedform._node_side.cache_info().misses == misses
+        closedform._node_side.cache_clear()
+        assert got == complex(inverse_solve_derivative_form(f, fp, P75, 2.0).value)
 
     def test_linearity(self):
         rep1 = _rep()

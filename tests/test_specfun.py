@@ -303,7 +303,7 @@ class TestHyp2F1:
         plan = sf._Hyp2f1Plan([0.5, 0.5], [0.3, 0.3], [1.5, 2.5])
         with pytest.raises(DomainError):
             plan(np.array([0.3, np.nan]))
-        assert plan.direct.rows.shape[1] == 1 and not plan.direct.counts
+        assert plan.direct.rows.shape[1] == 1
 
     def test_non_finite_parameters(self, monkeypatch):
         # rejected before any row grows, one such row among 257 included
@@ -358,11 +358,11 @@ class TestHyp2F1:
                   np.array([0.7]), np.array([0.69, 0.5])):
             assert np.array_equal(plan(z), self._series_loop(*rows, z))
 
-    def test_ladder_count_covers_the_exact_rule(self, monkeypatch):
+    def test_ladder_count_covers_the_exact_rule(self):
         # the term count at a batch's ladder step is never below the stop
-        # rule replayed at the batch's own largest z: the closed form's rows
-        # on a 257-node contour, direct series on (0, 0.75], connection
-        # series on (0, 0.25]
+        # rule replayed at the batch's own largest z, and fewer than 40 steps
+        # serve z from 1e-4 up: the closed form's rows on a 257-node contour,
+        # direct series on (0, 0.75], connection series on (0, 0.25]
         from weberorr import closedform
         s = -0.875 + 1j * np.linspace(-16.0, 16.0, 257)
         zs = np.geomspace(1e-4, 1.0, 200)
@@ -371,15 +371,13 @@ class TestHyp2F1:
             plan = sf._Hyp2f1Plan(a, b, c)
             _, _, f1, f2 = plan.connection()
             for series, top in ((plan.direct, 0.75), (f1, 0.25), (f2, 0.25)):
+                counts = {}
                 for zmax in top * zs:
-                    exact = series.replay(zmax)
-                    assert series.terms(sf._ladder_step(zmax)) >= exact, zmax
-                assert len(series.counts) < 40
-        # a step already seen takes its kept count without a replay
-        seen = {zmax: series.terms(sf._ladder_step(zmax)) for zmax in (0.2, 1e-3)}
-        monkeypatch.setattr(sf._SeriesRows, "replay", lambda *args: pytest.fail("replayed"))
-        for zmax, count in seen.items():
-            assert series.terms(sf._ladder_step(zmax)) == count
+                    j, step = sf._ladder_step(zmax)
+                    if j not in counts:
+                        counts[j] = series.replay(step)
+                    assert counts[j] >= series.replay(zmax), zmax
+                assert len(counts) < 40
 
     def test_plan_reuse_matches_a_fresh_plan(self):
         # the closed form's factor-1 rows on a 16-wide contour: a kept plan
@@ -401,23 +399,29 @@ class TestHyp2F1:
             assert np.array_equal(plan(z), sf._Hyp2f1Plan(*rows)(z))
             assert plan._connection is not None
 
-    def test_rows_end_one_block_past_the_largest_count(self, monkeypatch):
+    def test_rows_end_one_block_past_the_largest_count(self):
         # the closed form's node side on 257 nodes after batches on the
         # direct route up to its z = 0.75 step and past it on the connection
         from weberorr import closedform
         from weberorr.kernels import KernelParams
-        monkeypatch.setattr(closedform, "_node_memo", None)
+        closedform._node_side.cache_clear()
         params = KernelParams(-0.75, 1.0)
         s = -0.875 + 1j * np.linspace(-16.0, 16.0, 257)
         for xs in (np.array([4.0, 9.0]), np.array([1.16, 2.0]), np.array([1.01, 1.3])):
             closedform.fnu_matrix(params, s, xs)
             closedform.fnu_dx_matrix(params, s, xs)
-        for total in closedform._node_memo[1]:
-            for plan in total.plans:
-                assert sf._ladder_step(0.75)[0] in plan.direct.counts
-                for series in (plan.direct, *plan.connection()[2:]):
-                    width = series.rows.shape[1]
-                    assert width <= max(series.counts.values()) + 64, width
+        # the largest count each series was read at, over both sums' routes
+        largest = {}
+        for total in closedform._node_side(params, s.tobytes()):
+            assert ("direct", sf._ladder_step(0.75)[0]) in total._stacked
+            for (route, _), (_, counts) in total._stacked.items():
+                for plan, count in zip(total.plans, counts):
+                    series = (plan.direct if route == "direct"
+                              else plan.connection()[2 if route == "regular" else 3])
+                    largest[series] = max(largest.get(series, 0), count)
+        assert len(largest) == 12  # the three series of each of the four plans
+        for series, count in largest.items():
+            assert series.rows.shape[1] <= count + 64, (series.rows.shape[1], count)
 
     def test_term_budget(self, monkeypatch):
         # 2F1(1, 1; 2; 0.7) needs about 100 terms to reach 5e-17
